@@ -39,22 +39,20 @@ fn bench_counting(c: &mut Criterion) {
         .iter()
         .map(|t| PreparedDoc::prepare(t, Some(&lemmatizer)))
         .collect();
+    let refs: Vec<&PreparedDoc> = docs.iter().collect();
     c.bench_function("count_ngrams_1500w", |b| {
-        b.iter(|| {
-            for d in &docs {
-                black_box(CountedDoc::from_prepared(d, 3, 5));
-            }
-        })
+        b.iter(|| black_box(CountedDoc::count_all(&refs, 3, 5, 1)))
     });
 }
 
 fn bench_fit_and_vectorize(c: &mut Criterion) {
     let texts = sample_texts(64, 1_500);
     let lemmatizer = Lemmatizer::new();
-    let docs: Vec<CountedDoc> = texts
+    let prepared: Vec<PreparedDoc> = texts
         .iter()
-        .map(|t| CountedDoc::from_prepared(&PreparedDoc::prepare(t, Some(&lemmatizer)), 3, 5))
+        .map(|t| PreparedDoc::prepare(t, Some(&lemmatizer)))
         .collect();
+    let docs = CountedDoc::count_all(&prepared.iter().collect::<Vec<_>>(), 3, 5, 1);
     c.bench_function("fit_space_64_users", |b| {
         b.iter(|| {
             black_box(FeatureExtractor::new(FeatureConfig::final_stage()).fit_counted(docs.iter()))

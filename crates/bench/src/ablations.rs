@@ -241,24 +241,31 @@ impl DatasetBuilderNoLemma {
         use darklight_corpus::refine::select_text;
         use darklight_features::pipeline::{CountedDoc, PreparedDoc};
         let profiles = ProfileBuilder::new(ProfilePolicy::default());
+        let texts: Vec<String> = corpus
+            .users
+            .iter()
+            .map(|user| select_text(user, darklight_core::PAPER_WORD_BUDGET))
+            .collect();
+        let docs: Vec<PreparedDoc> = texts
+            .iter()
+            .map(|t| PreparedDoc::prepare(t, None))
+            .collect();
+        let counted = CountedDoc::count_all(&docs.iter().collect::<Vec<_>>(), 3, 5, 1);
         let records = corpus
             .users
             .iter()
-            .map(|user| {
-                let text = select_text(user, darklight_core::PAPER_WORD_BUDGET);
-                let doc = PreparedDoc::prepare(&text, None);
-                let counted = CountedDoc::from_prepared(&doc, 3, 5);
-                let profile = profiles.build(&user.timestamps()).ok();
-                darklight_core::dataset::Record {
+            .zip(texts.into_iter().zip(docs).zip(counted))
+            .map(
+                |(user, ((text, doc), counted))| darklight_core::dataset::Record {
                     alias: user.alias.clone(),
                     persona: user.persona,
                     facts: user.facts.clone(),
                     text,
                     doc,
                     counted,
-                    profile,
-                }
-            })
+                    profile: profiles.build(&user.timestamps()).ok(),
+                },
+            )
             .collect();
         Dataset::new(corpus.name.clone(), records)
     }

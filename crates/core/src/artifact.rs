@@ -38,6 +38,7 @@
 
 use darklight_activity::profile::{DailyActivityProfile, HOURS};
 use darklight_corpus::model::{Fact, FactKind};
+use darklight_features::lexicon::Lexicon;
 use darklight_features::pipeline::{
     CountedDoc, FeatureConfig, FeatureExtractor, FeatureSpace, PreparedDoc,
 };
@@ -46,7 +47,9 @@ use darklight_features::vocab::Vocabulary;
 use darklight_store::codec::{Reader, Writer};
 use darklight_store::{Container, EpochStore, StoreError};
 use darklight_text::lemma::Lemmatizer;
+use std::sync::Arc;
 
+use crate::attrib::CandidateIndex;
 use crate::batch::{hash_dataset, hash_feature_config};
 use crate::checkpoint::Fnv1a;
 use crate::dataset::{Dataset, Record};
@@ -72,6 +75,9 @@ pub struct FitArtifact {
     pub space: FeatureSpace,
     /// Stage-1 vectors of `known.records`, in record order.
     pub known_vecs: Vec<SparseVector>,
+    /// The stage-1 candidate index over `known_vecs`, built once when the
+    /// artifact is fitted or decoded and shared by every query it serves.
+    pub index: CandidateIndex,
 }
 
 impl FitArtifact {
@@ -90,10 +96,12 @@ impl FitArtifact {
         let known_vecs = darklight_par::par_map(&known.records, threads, |_, r| {
             space.vectorize_counted(&r.counted, r.profile.as_ref())
         });
+        let index = CandidateIndex::build_with_metrics(&known_vecs, space.dim(), &config.metrics);
         FitArtifact {
             known,
             space,
             known_vecs,
+            index,
         }
     }
 
@@ -140,8 +148,10 @@ impl FitArtifact {
     }
 
     /// Decodes an artifact, rebuilding the derived state (documents,
-    /// counts, IDF) with `threads` workers and verifying the stored
-    /// fingerprint against the reconstruction.
+    /// counts and their lexicon, IDF, the candidate index) with `threads`
+    /// workers and verifying the stored fingerprint against the
+    /// reconstruction. The vocabularies resolve their stored terms in the
+    /// rebuilt known records' lexicon.
     ///
     /// # Errors
     ///
@@ -160,9 +170,9 @@ impl FitArtifact {
             });
         }
         let config = decode_config(c.section(SEC_CONFIG)?)?;
-        let word_vocab = decode_vocab(c.section(SEC_WORD_VOCAB)?)?;
-        let char_vocab = decode_vocab(c.section(SEC_CHAR_VOCAB)?)?;
         let known = decode_dataset(c.section(SEC_KNOWN)?, threads)?;
+        let word_vocab = decode_vocab(c.section(SEC_WORD_VOCAB)?, known.lexicon())?;
+        let char_vocab = decode_vocab(c.section(SEC_CHAR_VOCAB)?, known.lexicon())?;
         let known_vecs = decode_vectors(c.section(SEC_VECTORS)?)?;
         if known_vecs.len() != known.len() {
             return Err(StoreError::Malformed(format!(
@@ -171,10 +181,25 @@ impl FitArtifact {
                 known.len()
             )));
         }
+        let space = FeatureSpace::from_parts(config, word_vocab, char_vocab);
+        // The index would panic on an out-of-range feature; a corrupt
+        // vector must be a typed error, like every other decode failure.
+        if let Some(bad) = known_vecs
+            .iter()
+            .flat_map(|v| v.iter().map(|(i, _)| i))
+            .find(|&i| i as usize >= space.dim())
+        {
+            return Err(StoreError::Malformed(format!(
+                "vector index {bad} outside the {}-dim space",
+                space.dim()
+            )));
+        }
+        let index = CandidateIndex::build(&known_vecs, space.dim());
         let artifact = FitArtifact {
             known,
-            space: FeatureSpace::from_parts(config, word_vocab, char_vocab),
+            space,
             known_vecs,
+            index,
         };
         let found = c.fingerprint;
         let expected = artifact.fingerprint();
@@ -243,34 +268,38 @@ fn usize_field(v: u64, what: &str) -> Result<usize, StoreError> {
 }
 
 /// Serializes a vocabulary as terms in dense-index order plus document
-/// frequencies. Collecting the map's iterator and sorting by index is
-/// what keeps the bytes deterministic despite `HashMap` storage.
+/// frequencies — strings, never lexicon ids, so the bytes depend only on
+/// the fit.
 fn encode_vocab(v: &Vocabulary) -> Vec<u8> {
-    let mut pairs: Vec<(&str, u32)> = v.iter().collect();
-    pairs.sort_unstable_by_key(|&(_, i)| i);
     let mut w = Writer::new();
     w.put_u32(v.num_docs());
-    w.put_u64(pairs.len() as u64);
-    for (term, i) in pairs {
+    w.put_u64(v.len() as u64);
+    for (term, i) in v.iter() {
         w.put_str(term);
         w.put_u32(v.doc_freq(i));
     }
     w.into_bytes()
 }
 
-fn decode_vocab(bytes: &[u8]) -> Result<Vocabulary, StoreError> {
+/// Restores a vocabulary over the lexicon of the rebuilt known records,
+/// so served queries vectorize against it on raw ids. Every selected
+/// term was counted in some known record; one that is not is corruption.
+fn decode_vocab(bytes: &[u8], lexicon: &Arc<Lexicon>) -> Result<Vocabulary, StoreError> {
     let mut r = Reader::new(bytes);
     let num_docs = r.get_u32()?;
     let count = r.get_count(8 + 4)?; // len prefix + doc_freq per term
     let mut terms = Vec::with_capacity(count);
     let mut doc_freq = Vec::with_capacity(count);
     for _ in 0..count {
-        terms.push(r.get_str()?.to_string());
+        terms.push(r.get_str()?);
         doc_freq.push(r.get_u32()?);
     }
     r.expect_end()?;
-    Vocabulary::from_parts(terms, doc_freq, num_docs)
-        .ok_or_else(|| StoreError::Malformed("duplicate term in vocabulary".to_string()))
+    Vocabulary::from_parts(lexicon, &terms, doc_freq, num_docs).ok_or_else(|| {
+        StoreError::Malformed(
+            "vocabulary term duplicated or absent from the known records".to_string(),
+        )
+    })
 }
 
 fn encode_dataset(ds: &Dataset) -> Vec<u8> {
@@ -377,19 +406,30 @@ fn decode_dataset(bytes: &[u8], threads: usize) -> Result<Dataset, StoreError> {
     // the original dataset build used; per-record work is independent,
     // so output is identical for every thread count.
     let lemmatizer = Lemmatizer::new();
-    let records = darklight_par::par_map(&raw, threads.max(1), |_, rr| {
-        let doc = PreparedDoc::prepare(&rr.text, Some(&lemmatizer));
-        let counted = CountedDoc::from_prepared(&doc, max_word_n, max_char_n);
-        Record {
-            alias: rr.alias.clone(),
+    let threads = threads.max(1);
+    let docs = darklight_par::par_map(&raw, threads, |_, rr| {
+        PreparedDoc::prepare(&rr.text, Some(&lemmatizer))
+    });
+    let counted = CountedDoc::count_all(
+        &docs.iter().collect::<Vec<_>>(),
+        max_word_n,
+        max_char_n,
+        threads,
+    );
+    let records = raw
+        .into_iter()
+        .zip(docs)
+        .zip(counted)
+        .map(|((rr, doc), counted)| Record {
+            alias: rr.alias,
             persona: rr.persona,
-            facts: rr.facts.clone(),
-            text: rr.text.clone(),
+            facts: rr.facts,
+            text: rr.text,
             doc,
             counted,
-            profile: rr.profile.clone(),
-        }
-    });
+            profile: rr.profile,
+        })
+        .collect();
     Ok(Dataset::with_orders(name, records, max_word_n, max_char_n))
 }
 
@@ -583,7 +623,7 @@ mod tests {
         };
         let engine = TwoStage::new(config);
         let fresh = engine.reduce(&artifact.known, &unknown);
-        let served = engine.reduce_prefit(&artifact.space, &artifact.known_vecs, &unknown);
+        let served = engine.reduce_prefit(&artifact.space, &artifact.index, &unknown);
         assert_eq!(fresh.len(), served.len());
         for (a, b) in fresh.iter().zip(&served) {
             assert_eq!(a.len(), b.len());

@@ -39,6 +39,17 @@ struct IndexInstruments {
     batch_queries: Counter,
 }
 
+impl IndexInstruments {
+    fn resolve(metrics: &PipelineMetrics) -> IndexInstruments {
+        IndexInstruments {
+            postings_touched: metrics.histogram("attrib.postings_touched_per_query"),
+            queries_scored: metrics.counter("attrib.queries_scored"),
+            batch_time: metrics.timer("attrib.batch_scoring"),
+            batch_queries: metrics.counter("attrib.batch_queries"),
+        }
+    }
+}
+
 /// An inverted index over the known aliases' unit-norm feature vectors.
 #[derive(Debug, Clone)]
 pub struct CandidateIndex {
@@ -82,12 +93,7 @@ impl CandidateIndex {
         CandidateIndex {
             postings,
             n_users: vectors.len(),
-            instruments: IndexInstruments {
-                postings_touched: metrics.histogram("attrib.postings_touched_per_query"),
-                queries_scored: metrics.counter("attrib.queries_scored"),
-                batch_time: metrics.timer("attrib.batch_scoring"),
-                batch_queries: metrics.counter("attrib.batch_queries"),
-            },
+            instruments: IndexInstruments::resolve(metrics),
         }
     }
 
@@ -104,6 +110,10 @@ impl CandidateIndex {
     /// Dot products (== cosine for unit-norm inputs) of `query` against
     /// every indexed alias.
     pub fn scores(&self, query: &SparseVector) -> Vec<f64> {
+        self.scores_with(query, &self.instruments)
+    }
+
+    fn scores_with(&self, query: &SparseVector, instruments: &IndexInstruments) -> Vec<f64> {
         let mut scores = vec![0.0f64; self.n_users];
         let mut touched = 0u64;
         for (f, w) in query.iter() {
@@ -114,8 +124,8 @@ impl CandidateIndex {
                 }
             }
         }
-        self.instruments.postings_touched.record(touched);
-        self.instruments.queries_scored.incr();
+        instruments.postings_touched.record(touched);
+        instruments.queries_scored.incr();
         scores
     }
 
@@ -136,9 +146,35 @@ impl CandidateIndex {
         k: usize,
         threads: usize,
     ) -> Vec<Vec<Ranked>> {
-        let _batch = self.instruments.batch_time.start();
-        self.instruments.batch_queries.add(queries.len() as u64);
-        darklight_par::par_map(queries, threads, |_, q| self.top_k(q, k))
+        self.top_k_batch_with(queries, k, threads, &self.instruments)
+    }
+
+    /// [`top_k_batch`](CandidateIndex::top_k_batch), recording into
+    /// `metrics` rather than the handle the index was built with: an
+    /// index built once (a fit artifact's) serves every later run's
+    /// queries, and each run observes its own.
+    pub fn top_k_batch_observed(
+        &self,
+        queries: &[SparseVector],
+        k: usize,
+        threads: usize,
+        metrics: &PipelineMetrics,
+    ) -> Vec<Vec<Ranked>> {
+        self.top_k_batch_with(queries, k, threads, &IndexInstruments::resolve(metrics))
+    }
+
+    fn top_k_batch_with(
+        &self,
+        queries: &[SparseVector],
+        k: usize,
+        threads: usize,
+        instruments: &IndexInstruments,
+    ) -> Vec<Vec<Ranked>> {
+        let _batch = instruments.batch_time.start();
+        instruments.batch_queries.add(queries.len() as u64);
+        darklight_par::par_map(queries, threads, |_, q| {
+            top_k_of(&self.scores_with(q, instruments), k)
+        })
     }
 }
 

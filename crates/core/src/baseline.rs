@@ -11,10 +11,12 @@
 
 use crate::attrib::{top_k_of, CandidateIndex, Ranked};
 use crate::dataset::Dataset;
+use darklight_features::lexicon::{Lexicon, TermCounts};
 use darklight_features::ngram::char_ngrams_free_space;
 use darklight_features::pipeline::{FeatureConfig, FeatureExtractor};
 use darklight_features::sparse::SparseVector;
-use darklight_features::vocab::{count_terms, VocabBuilder};
+use darklight_features::vocab::VocabBuilder;
+use std::sync::Arc;
 
 /// The Standard baseline: char free-space 4-grams, raw term frequency,
 /// unit-norm, cosine ranking. One stage, no TF-IDF, no activity profile.
@@ -37,30 +39,34 @@ impl StandardBaseline {
     /// Scores every unknown against every known alias; returns per-unknown
     /// ranked candidates (all of them, best first).
     pub fn run(&self, known: &Dataset, unknown: &Dataset) -> Vec<Vec<Ranked>> {
-        let gram_counts = |text: &str| count_terms(char_ngrams_free_space(text, 4));
-        let mut builder = VocabBuilder::new();
-        let known_counts: Vec<_> = known.records.iter().map(|r| gram_counts(&r.text)).collect();
+        // Intern every alias's grams once, known aliases first.
+        let mut lexicon = Lexicon::new();
+        let mut count = |ds: &Dataset| -> Vec<Vec<(u32, u32)>> {
+            ds.records
+                .iter()
+                .map(|r| lexicon.count_in(char_ngrams_free_space(&r.text, 4)))
+                .collect()
+        };
+        let known_counts = count(known);
+        let unknown_counts = count(unknown);
+        let lexicon = Arc::new(lexicon);
+        let mut builder = VocabBuilder::new(Arc::clone(&lexicon));
         for c in &known_counts {
-            builder.add_doc_counts(c);
+            builder.add_doc(TermCounts::new(&lexicon, c));
         }
         let vocab = builder.select_top(self.max_features);
-        let to_vec = |counts: &std::collections::HashMap<String, u32>| {
-            SparseVector::from_pairs(
-                counts
-                    .iter()
-                    .filter_map(|(g, &c)| vocab.index_of(g).map(|i| (i, c as f32))),
-            )
-            .l2_normalized()
+        let to_vec = |counts: &Vec<(u32, u32)>| {
+            let mut pairs = Vec::with_capacity(counts.len());
+            vocab.for_each_selected(TermCounts::new(&lexicon, counts), |i, c| {
+                pairs.push((i, c as f32));
+            });
+            SparseVector::from_pairs(pairs).l2_normalized()
         };
         let known_vecs: Vec<SparseVector> = known_counts.iter().map(to_vec).collect();
         let index = CandidateIndex::build(&known_vecs, vocab.len().max(1));
-        unknown
-            .records
+        unknown_counts
             .iter()
-            .map(|r| {
-                let v = to_vec(&gram_counts(&r.text));
-                index.top_k(&v, known.len())
-            })
+            .map(|c| index.top_k(&to_vec(c), known.len()))
             .collect()
     }
 }
@@ -113,6 +119,7 @@ impl KoppelBaseline {
     /// Runs the vote procedure; per unknown, every known alias ranked by
     /// normalized vote share (best first).
     pub fn run(&self, known: &Dataset, unknown: &Dataset) -> Vec<Vec<Ranked>> {
+        let unknown = unknown.rebased_onto(known.lexicon());
         let space = FeatureExtractor::new(self.features.clone())
             .fit_counted(known.records.iter().map(|r| &r.counted));
         let known_vecs: Vec<SparseVector> = known

@@ -42,7 +42,9 @@ use crate::attrib::Ranked;
 use crate::checkpoint::{self, Checkpoint, CheckpointError, Fnv1a};
 use crate::dataset::Dataset;
 use crate::twostage::{RankedMatch, TwoStage};
+use darklight_features::pipeline::CountedDoc;
 use darklight_govern::{Deadline, EstimateBytes, Expired, GovernError, MemoryBudget};
+use std::borrow::Cow;
 use std::fmt;
 use std::path::PathBuf;
 
@@ -119,16 +121,28 @@ impl BatchConfig {
 }
 
 /// Bytes resident in every round regardless of batch size: the unknown
-/// dataset, which each round vectorizes against the batch.
+/// dataset, which each round vectorizes against the batch, and the copy
+/// of its counts a run rebases onto the known lexicon when the two sides
+/// were counted apart. The copy is charged whether or not a run makes it
+/// (the known side decides that): every record's counted document, plus
+/// the unknown lexicon's own terms, which bound the extension's for a
+/// dataset counted on its own.
 pub fn budget_overhead_bytes(unknown: &Dataset) -> u64 {
-    unknown.estimate_bytes()
+    let rebased: u64 = unknown
+        .records
+        .iter()
+        .map(|r| r.counted.estimate_bytes())
+        .sum();
+    unknown.estimate_bytes() + rebased + unknown.lexicon().estimate_bytes()
 }
 
 /// Worst-case bytes one known candidate adds to a round: the largest
 /// record estimate in the dataset. A record's estimate includes its
-/// n-gram counting maps, which bound the per-round vector block built
-/// from them (a sparse vector holds at most one entry per distinct
-/// counted term — see `SparseVector::estimate_bytes`).
+/// n-gram count pairs, eight bytes per distinct counted term, which
+/// bound the per-round vector block built from them (a sparse vector
+/// holds at most one eight-byte entry per distinct counted term — see
+/// `SparseVector::estimate_bytes`). The term strings are charged once,
+/// with the dataset's lexicon.
 pub fn budget_per_candidate_bytes(known: &Dataset) -> u64 {
     known
         .records
@@ -289,7 +303,7 @@ pub fn run_batched_governed(
         .gauge("batch.batch_size")
         .set(config.batch_size as i64);
     let ctx = spec.map(|s| (s, run_fingerprint(engine, config, known, unknown)));
-    let (mut survivors, mut rounds_done) = match &ctx {
+    let (survivors, rounds_done) = match &ctx {
         None => (fresh_pools(known, unknown), 0),
         Some((spec, fingerprint)) => {
             // Checkpoint hygiene: a crash between the tmp write and the
@@ -330,13 +344,13 @@ pub fn run_batched_governed(
         }
     };
     let resumed_at = rounds_done;
-    run_rounds(
+    let out = run_rounds(
         engine,
         config,
         known,
         unknown,
-        &mut survivors,
-        &mut rounds_done,
+        survivors,
+        rounds_done,
         |done, pools| {
             let Some((spec, fingerprint)) = &ctx else {
                 return Ok(());
@@ -360,7 +374,6 @@ pub fn run_batched_governed(
             Ok(())
         },
     )?;
-    let out = finalize(engine, known, unknown, &survivors);
     if let Some((spec, _)) = &ctx {
         checkpoint::remove(&spec.path);
     }
@@ -452,24 +465,27 @@ fn peak_round_bytes(pools: &[Vec<usize>], record_bytes: &[u64], batch_size: usiz
         .unwrap_or(0)
 }
 
-/// The round loop shared by every entry point. `after_round` runs once
-/// per completed round (checkpointing hook); its error aborts the run
-/// with the pools already updated in place. The engine's governor is
-/// consulted here: the deadline at round boundaries (and cooperatively
-/// inside rounds), the memory budget before each round via the pressure
-/// ladder described in the module docs.
+/// The round loop shared by every entry point, then the final stage.
+/// `after_round` runs once per completed round (checkpointing hook); its
+/// error aborts the run. The engine's governor is consulted here: the
+/// deadline at round boundaries (and cooperatively inside rounds), the
+/// memory budget before each round via the pressure ladder described in
+/// the module docs.
 fn run_rounds<F>(
     engine: &TwoStage,
     config: &BatchConfig,
     known: &Dataset,
     unknown: &Dataset,
-    survivors: &mut Vec<Vec<usize>>,
-    rounds_done: &mut u64,
+    mut survivors: Vec<Vec<usize>>,
+    mut rounds_done: u64,
     mut after_round: F,
-) -> Result<(), BatchError>
+) -> Result<Vec<RankedMatch>, BatchError>
 where
     F: FnMut(u64, &[Vec<usize>]) -> Result<(), BatchError>,
 {
+    // The same figure `BatchConfig::derive` budgets with.
+    let overhead = budget_overhead_bytes(unknown);
+    let unknown = Unknowns::new(unknown, known);
     let metrics = &engine.config().metrics;
     let govern = &engine.config().govern;
     let deadline = &govern.deadline;
@@ -477,15 +493,12 @@ where
     let peak_pool = metrics.gauge("batch.peak_pool");
     // Per-record byte estimates, computed once; the ladder re-measures
     // every round because pools shrink and batches re-chunk as B halves.
-    let measure: Option<(u64, Vec<u64>)> = govern.budget.map(|_| {
-        (
-            budget_overhead_bytes(unknown),
-            known
-                .records
-                .iter()
-                .map(EstimateBytes::estimate_bytes)
-                .collect(),
-        )
+    let record_bytes: Option<Vec<u64>> = govern.budget.map(|_| {
+        known
+            .records
+            .iter()
+            .map(EstimateBytes::estimate_bytes)
+            .collect()
     });
     let mut batch_size = config.batch_size;
     // Iterate rounds until every unknown's pool fits in one batch. Each
@@ -501,10 +514,10 @@ where
         if max_pool <= batch_size {
             break;
         }
-        if deadline.check(*rounds_done).is_err() {
+        if deadline.check(rounds_done).is_err() {
             metrics.counter("govern.deadline_expired").incr();
             return Err(BatchError::Govern(GovernError::DeadlineExpired {
-                rounds_done: *rounds_done,
+                rounds_done,
             }));
         }
         // Pressure ladder: measure the upcoming round's peak batch
@@ -512,9 +525,9 @@ where
         // B = 1 the round runs best-effort). B never grows back, so a
         // governed run's round structure is a deterministic function of
         // the corpus and the budget, never of transient timing.
-        if let (Some(budget), Some((overhead, record_bytes))) = (govern.budget, &measure) {
+        if let (Some(budget), Some(record_bytes)) = (govern.budget, &record_bytes) {
             loop {
-                let measured = overhead + peak_round_bytes(survivors, record_bytes, batch_size);
+                let measured = overhead + peak_round_bytes(&survivors, record_bytes, batch_size);
                 metrics
                     .gauge("govern.bytes_estimated")
                     .set_max(measured as i64);
@@ -544,16 +557,16 @@ where
         let identical = survivors.windows(2).all(|w| w[0] == w[1]);
         if identical && !survivors.is_empty() {
             let pool = survivors[0].clone();
-            *survivors = batched_round(engine, batch_size, known, unknown, &pool, None, deadline)
-                .map_err(|_| expired(*rounds_done))?;
+            survivors = batched_round(engine, batch_size, known, &unknown, &pool, None, deadline)
+                .map_err(|_| expired(rounds_done))?;
         } else {
             // Divergent pools: each unknown reduces against its own pool,
             // independently of the others — fan the per-unknown rounds out
             // over the worker pool, keeping pool order by construction.
             let threads = engine.config().effective_threads();
-            *survivors =
-                darklight_par::par_map_deadline(survivors, threads, deadline, |u, pool| {
-                    batched_round(engine, batch_size, known, unknown, pool, Some(u), deadline).map(
+            survivors =
+                darklight_par::par_map_deadline(&survivors, threads, deadline, |u, pool| {
+                    batched_round(engine, batch_size, known, &unknown, pool, Some(u), deadline).map(
                         |pools| {
                             pools
                                 .into_iter()
@@ -563,30 +576,74 @@ where
                         },
                     )
                 })
-                .map_err(|_| expired(*rounds_done))?
+                .map_err(|_| expired(rounds_done))?
                 .into_iter()
                 .collect::<Result<Vec<Vec<usize>>, Expired>>()
-                .map_err(|_| expired(*rounds_done))?;
+                .map_err(|_| expired(rounds_done))?;
         }
-        let stalled = *survivors == before;
+        let stalled = survivors == before;
         if stalled {
             metrics.counter("batch.stalled").incr();
         }
-        *rounds_done += 1;
-        after_round(*rounds_done, survivors)?;
+        rounds_done += 1;
+        after_round(rounds_done, &survivors)?;
         deadline.tick_round();
         if stalled {
             break;
         }
     }
-    Ok(())
+    Ok(finalize(engine, known, &unknown, &survivors))
+}
+
+/// The unknown side of a batched run. Every round, finalize and rescore
+/// refit over known records and unknown ones; when the two sides were
+/// counted apart, the unknowns' counts are rebased onto the known
+/// lexicon once, so all of those fits run on raw ids. Only the counts
+/// are copied ([`budget_overhead_bytes`] charges them); a dataset a round
+/// scores is then a transient clone of the caller's records with the
+/// rebased counts swapped in, and otherwise the caller's dataset itself.
+struct Unknowns<'a> {
+    dataset: &'a Dataset,
+    rebased: Option<Vec<CountedDoc>>,
+}
+
+impl<'a> Unknowns<'a> {
+    fn new(unknown: &'a Dataset, known: &Dataset) -> Unknowns<'a> {
+        Unknowns {
+            dataset: unknown,
+            rebased: unknown.counts_rebased_onto(known.lexicon()),
+        }
+    }
+
+    /// The whole unknown set in the known lexicon's lineage.
+    fn all(&self) -> Cow<'a, Dataset> {
+        match self.rebased {
+            Some(_) => Cow::Owned(self.subset(0..self.dataset.len())),
+            None => Cow::Borrowed(self.dataset),
+        }
+    }
+
+    /// Records `indices`, in that order, as a dataset in the known
+    /// lexicon's lineage.
+    fn subset(&self, indices: impl IntoIterator<Item = usize>) -> Dataset {
+        let ds = self.dataset;
+        let records = indices
+            .into_iter()
+            .map(|i| match &self.rebased {
+                Some(counts) => ds.records[i].with_counted(counts[i].clone()),
+                None => ds.records[i].clone(),
+            })
+            .collect();
+        let (max_word_n, max_char_n) = ds.ngram_orders();
+        Dataset::with_orders(ds.name.clone(), records, max_word_n, max_char_n)
+    }
 }
 
 /// Final stage: rescore each unknown against its surviving pool.
 fn finalize(
     engine: &TwoStage,
     known: &Dataset,
-    unknown: &Dataset,
+    unknown: &Unknowns<'_>,
     survivors: &[Vec<usize>],
 ) -> Vec<RankedMatch> {
     let metrics = &engine.config().metrics;
@@ -602,7 +659,7 @@ fn finalize(
                 return Vec::new();
             }
             let sub = subset(known, pool);
-            let one = subset_one(unknown, u);
+            let one = unknown.subset([u]);
             let reduced = engine.reduce(&sub, &one);
             reduced[0]
                 .iter()
@@ -614,7 +671,7 @@ fn finalize(
                 .collect()
         })
         .collect();
-    engine.rescore(known, unknown, stage1)
+    engine.rescore(known, &unknown.all(), stage1)
 }
 
 /// One batched k-attribution round over `pool`. When `only` is given, only
@@ -627,12 +684,16 @@ fn batched_round(
     engine: &TwoStage,
     batch_size: usize,
     known: &Dataset,
-    unknown: &Dataset,
+    unknown: &Unknowns<'_>,
     pool: &[usize],
     only: Option<usize>,
     deadline: &Deadline,
 ) -> Result<Vec<Vec<usize>>, Expired> {
-    let n_unknown = if only.is_some() { 1 } else { unknown.len() };
+    let n_unknown = if only.is_some() {
+        1
+    } else {
+        unknown.dataset.len()
+    };
     let mut new_pools: Vec<Vec<usize>> = vec![Vec::new(); n_unknown];
     for batch in pool.chunks(batch_size) {
         if deadline.is_expired() {
@@ -640,8 +701,8 @@ fn batched_round(
         }
         let sub = subset(known, batch);
         let uset = match only {
-            Some(u) => subset_one(unknown, u),
-            None => unknown.clone(),
+            Some(u) => Cow::Owned(unknown.subset([u])),
+            None => unknown.all(),
         };
         let reduced = engine.reduce(&sub, &uset);
         for (slot, ranked) in new_pools.iter_mut().zip(reduced) {
@@ -665,10 +726,6 @@ fn subset(ds: &Dataset, indices: &[usize]) -> Dataset {
         max_word_n,
         max_char_n,
     )
-}
-
-fn subset_one(ds: &Dataset, index: usize) -> Dataset {
-    subset(ds, &[index])
 }
 
 #[cfg(test)]
@@ -1037,6 +1094,22 @@ mod tests {
         let tiny = MemoryBudget::from_bytes(overhead + per - 1).unwrap();
         let err = BatchConfig::derive(&tiny, &known, &unknown).unwrap_err();
         assert!(matches!(err, GovernError::BudgetTooSmall { .. }), "{err}");
+    }
+
+    /// The two halves are built apart, so a run rebases the unknowns'
+    /// counts; the overhead must cover that copy beside the caller's set.
+    #[test]
+    fn overhead_charges_the_rebased_counts() {
+        let (known, unknown) = world();
+        let rebased = unknown
+            .counts_rebased_onto(known.lexicon())
+            .expect("separate builds need a rebase");
+        let copy: u64 = rebased
+            .iter()
+            .map(EstimateBytes::estimate_bytes)
+            .sum::<u64>()
+            + rebased[0].lexicon().estimate_bytes();
+        assert!(budget_overhead_bytes(&unknown) >= unknown.estimate_bytes() + copy);
     }
 
     #[test]

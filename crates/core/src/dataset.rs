@@ -7,11 +7,14 @@
 //! (persona ids, leaked facts) rides along untouched for the evaluation
 //! layer.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use darklight_activity::profile::{DailyActivityProfile, ProfileBuilder, ProfilePolicy};
 use darklight_corpus::model::{Corpus, Fact};
 use darklight_corpus::refine::select_text;
+use darklight_features::lexicon::Lexicon;
 use darklight_features::pipeline::{CountedDoc, PreparedDoc};
 use darklight_govern::EstimateBytes;
 use darklight_obs::PipelineMetrics;
@@ -36,6 +39,21 @@ pub struct Record {
     pub profile: Option<DailyActivityProfile>,
 }
 
+impl Record {
+    /// A copy of this record with `counted` in place of its counts.
+    pub fn with_counted(&self, counted: CountedDoc) -> Record {
+        Record {
+            alias: self.alias.clone(),
+            persona: self.persona,
+            facts: self.facts.clone(),
+            text: self.text.clone(),
+            doc: self.doc.clone(),
+            counted,
+            profile: self.profile.clone(),
+        }
+    }
+}
+
 /// A named set of attribution-ready records.
 ///
 /// Construct with [`Dataset::new`] (or
@@ -45,7 +63,12 @@ pub struct Record {
 /// be mutated afterwards — derive new datasets through
 /// [`with_word_budget`](Dataset::with_word_budget) /
 /// [`merged_with`](Dataset::merged_with) instead.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Every dataset's records share one lexicon lineage (see
+/// [`darklight_features::lexicon`]): construction rebases records
+/// counted in an unrelated lexicon, so fits over any subset run on raw
+/// term ids.
+#[derive(Debug, Clone)]
 pub struct Dataset {
     /// Dataset name (usually the forum name).
     pub name: String,
@@ -56,6 +79,19 @@ pub struct Dataset {
     max_char_n: usize,
     /// alias → index of its *first* occurrence, built once at construction.
     alias_index: HashMap<String, usize>,
+    /// The lexicon covering every record's counted document.
+    lexicon: Arc<Lexicon>,
+}
+
+impl PartialEq for Dataset {
+    /// Equal names, orders and records; records compare their counted
+    /// documents by term string, so two builds of one corpus are equal
+    /// whatever lexicons they interned into.
+    fn eq(&self, other: &Dataset) -> bool {
+        self.name == other.name
+            && self.ngram_orders() == other.ngram_orders()
+            && self.records == other.records
+    }
 }
 
 impl Dataset {
@@ -71,12 +107,27 @@ impl Dataset {
     }
 
     /// A dataset whose records were counted at the given n-gram maxima.
+    /// Records may come from different datasets; when their lexicons are
+    /// unrelated, all of them are rebased into one shared extension.
     pub fn with_orders(
         name: impl Into<String>,
-        records: Vec<Record>,
+        mut records: Vec<Record>,
         max_word_n: usize,
         max_char_n: usize,
     ) -> Dataset {
+        let shared = CountedDoc::shared_lexicon(records.iter().map(|r| &r.counted)).cloned();
+        let lexicon = match shared {
+            Some(lexicon) => lexicon,
+            None if records.is_empty() => Arc::default(),
+            None => {
+                let docs: Vec<&CountedDoc> = records.iter().map(|r| &r.counted).collect();
+                let rebased = CountedDoc::rebase_all(&docs, records[0].counted.lexicon());
+                for (r, counted) in records.iter_mut().zip(rebased) {
+                    r.counted = counted;
+                }
+                Arc::clone(records[0].counted.lexicon())
+            }
+        };
         let mut alias_index = HashMap::with_capacity(records.len());
         for (i, r) in records.iter().enumerate() {
             // First occurrence wins, matching the linear-scan semantics the
@@ -89,7 +140,51 @@ impl Dataset {
             max_word_n,
             max_char_n,
             alias_index,
+            lexicon,
         }
+    }
+
+    /// The lexicon covering every record's counted document.
+    pub fn lexicon(&self) -> &Arc<Lexicon> {
+        &self.lexicon
+    }
+
+    /// The records' counted documents expressed in a lexicon compatible
+    /// with `base`: `None` when they already are (the common case inside
+    /// a link), otherwise every document rebased, in record order, into
+    /// one new extension of `base` that `base` itself never sees.
+    pub fn counts_rebased_onto(&self, base: &Arc<Lexicon>) -> Option<Vec<CountedDoc>> {
+        if self.lexicon.compatible(base) {
+            return None;
+        }
+        let docs: Vec<&CountedDoc> = self.records.iter().map(|r| &r.counted).collect();
+        Some(CountedDoc::rebase_all(&docs, base))
+    }
+
+    /// This dataset with its counted documents expressed in a lexicon
+    /// compatible with `base` ([`counts_rebased_onto`]): borrowed as is
+    /// when it already is, otherwise a copy. Linking rebases the unknown
+    /// side onto the known lexicon once per link, so every refit and
+    /// vectorization after that runs on raw ids; the extension is dropped
+    /// with the copy and `base` never grows.
+    ///
+    /// [`counts_rebased_onto`]: Dataset::counts_rebased_onto
+    pub fn rebased_onto(&self, base: &Arc<Lexicon>) -> Cow<'_, Dataset> {
+        let Some(counts) = self.counts_rebased_onto(base) else {
+            return Cow::Borrowed(self);
+        };
+        let records = self
+            .records
+            .iter()
+            .zip(counts)
+            .map(|(r, counted)| r.with_counted(counted))
+            .collect();
+        Cow::Owned(Dataset::with_orders(
+            self.name.clone(),
+            records,
+            self.max_word_n,
+            self.max_char_n,
+        ))
     }
 
     /// Number of records.
@@ -118,21 +213,30 @@ impl Dataset {
     /// the sweep varies text, not timestamps. Recounting preserves the
     /// dataset's configured n-gram maxima.
     pub fn with_word_budget(&self, words: usize) -> Dataset {
+        let docs: Vec<PreparedDoc> = self
+            .records
+            .iter()
+            .map(|r| r.doc.truncate_words(words))
+            .collect();
+        let counted = CountedDoc::count_all(
+            &docs.iter().collect::<Vec<_>>(),
+            self.max_word_n,
+            self.max_char_n,
+            1,
+        );
         let records = self
             .records
             .iter()
-            .map(|r| {
-                let doc = r.doc.truncate_words(words);
-                let counted = CountedDoc::from_prepared(&doc, self.max_word_n, self.max_char_n);
-                Record {
-                    alias: r.alias.clone(),
-                    persona: r.persona,
-                    facts: r.facts.clone(),
-                    text: r.text.clone(),
-                    doc,
-                    counted,
-                    profile: r.profile.clone(),
-                }
+            .zip(docs)
+            .zip(counted)
+            .map(|((r, doc), counted)| Record {
+                alias: r.alias.clone(),
+                persona: r.persona,
+                facts: r.facts.clone(),
+                text: r.text.clone(),
+                doc,
+                counted,
+                profile: r.profile.clone(),
             })
             .collect();
         Dataset::with_orders(self.name.clone(), records, self.max_word_n, self.max_char_n)
@@ -140,7 +244,9 @@ impl Dataset {
 
     /// Concatenates two datasets (the paper merges TMG and DM into a
     /// single DarkWeb dataset in §IV-G). The merged dataset advertises the
-    /// larger n-gram maxima of the two halves.
+    /// larger n-gram maxima of the two halves; `other`'s records are
+    /// rebased into an extension of `self`'s lexicon when the two are
+    /// unrelated.
     pub fn merged_with(&self, other: &Dataset, name: impl Into<String>) -> Dataset {
         let mut records = self.records.clone();
         records.extend(other.records.iter().cloned());
@@ -174,12 +280,14 @@ impl EstimateBytes for Record {
 impl EstimateBytes for Dataset {
     fn estimate_bytes(&self) -> u64 {
         // Record payloads plus a flat per-record charge for the alias →
-        // index map entry. Content-deterministic: two datasets with equal
-        // records estimate equally regardless of how they were built.
+        // index map entry, and the lexicon once: records hold only term
+        // ids. Deterministic: the estimate is a function of the records
+        // and of which terms the dataset interned.
         self.records
             .iter()
             .map(|r| r.estimate_bytes() + r.alias.len() as u64 + 48)
             .sum::<u64>()
+            + self.lexicon.estimate_bytes()
             + self.name.len() as u64
             + 64
     }
@@ -259,20 +367,29 @@ impl DatasetBuilder {
     /// keep `profile = None` (their vectors simply lack the activity
     /// block).
     ///
-    /// Per-alias preparation (tokenize → lemmatize → count) is
-    /// independent across aliases and runs on the configured worker pool;
-    /// output order is the corpus order regardless of thread count.
+    /// Per-alias preparation (select text → tokenize → lemmatize →
+    /// profile) is independent across aliases and runs on the configured
+    /// worker pool, and so does counting (see [`CountedDoc::count_all`]);
+    /// output — term ids included — is the same for every thread count.
     pub fn build(&self, corpus: &Corpus) -> Dataset {
         let _build = self.metrics.timer("dataset.build").start();
         let threads = darklight_par::resolve_threads(self.threads);
         self.metrics.gauge("dataset.threads").set(threads as i64);
         let profiles = ProfileBuilder::new(self.profile_policy);
-        let records = darklight_par::par_map(&corpus.users, threads, |_, user| {
+        let prepared = darklight_par::par_map(&corpus.users, threads, |_, user| {
             let text = select_text(user, self.word_budget);
             let doc = PreparedDoc::prepare(&text, Some(&self.lemmatizer));
-            let counted = CountedDoc::from_prepared(&doc, self.max_word_n, self.max_char_n);
-            let profile = profiles.build(&user.timestamps()).ok();
-            Record {
+            (text, doc, profiles.build(&user.timestamps()).ok())
+        });
+        // Count and intern every gram once; ids follow record order.
+        let docs: Vec<&PreparedDoc> = prepared.iter().map(|(_, doc, _)| doc).collect();
+        let counted = CountedDoc::count_all(&docs, self.max_word_n, self.max_char_n, threads);
+        let records: Vec<Record> = corpus
+            .users
+            .iter()
+            .zip(prepared)
+            .zip(counted)
+            .map(|((user, (text, doc, profile)), counted)| Record {
                 alias: user.alias.clone(),
                 persona: user.persona,
                 facts: user.facts.clone(),
@@ -280,8 +397,8 @@ impl DatasetBuilder {
                 doc,
                 counted,
                 profile,
-            }
-        });
+            })
+            .collect();
         self.metrics
             .counter("dataset.records_built")
             .add(records.len() as u64);
@@ -304,6 +421,7 @@ impl Default for DatasetBuilder {
 mod tests {
     use super::*;
     use darklight_corpus::model::{Post, User};
+    use darklight_features::lexicon::TermCounts;
 
     fn corpus() -> Corpus {
         let mut c = Corpus::new("t");
@@ -401,12 +519,24 @@ mod tests {
             .build(&corpus());
         assert_eq!(bigrams_only.ngram_orders(), (2, 3));
         let counted = &bigrams_only.records[0].counted;
-        assert!(counted.word_counts().keys().any(|k| word_order(k) == 2));
+        assert!(counted
+            .word_counts()
+            .terms()
+            .map(|(k, _)| k)
+            .any(|k| word_order(k) == 2));
         assert!(
-            counted.word_counts().keys().all(|k| word_order(k) <= 2),
+            counted
+                .word_counts()
+                .terms()
+                .map(|(k, _)| k)
+                .all(|k| word_order(k) <= 2),
             "an order-2 dataset must not count word 3-grams"
         );
-        assert!(counted.char_counts().keys().all(|k| k.chars().count() <= 3));
+        assert!(counted
+            .char_counts()
+            .terms()
+            .map(|(k, _)| k)
+            .all(|k| k.chars().count() <= 3));
 
         let four = DatasetBuilder::new()
             .with_ngram_orders(4, 5)
@@ -414,7 +544,8 @@ mod tests {
         assert!(four.records[0]
             .counted
             .word_counts()
-            .keys()
+            .terms()
+            .map(|(k, _)| k)
             .any(|k| word_order(k) == 4));
 
         // The budget sweep recounts at the dataset's orders, not (3, 5).
@@ -423,23 +554,60 @@ mod tests {
         assert!(cut.records[0]
             .counted
             .word_counts()
-            .keys()
+            .terms()
+            .map(|(k, _)| k)
             .all(|k| word_order(k) <= 2));
     }
 
+    /// Every build interns into a lexicon of its own, so the comparison
+    /// reads terms by string, in id order: the strings, their counts and
+    /// the order ids were handed out in must all match the serial build.
     #[test]
     fn build_is_deterministic_across_thread_counts() {
         let c = corpus();
+        let by_string = |counts: TermCounts<'_>| -> Vec<(String, u32)> {
+            counts.terms().map(|(t, n)| (t.to_string(), n)).collect()
+        };
         let serial = DatasetBuilder::new().with_threads(1).build(&c);
-        for threads in [2, 7] {
+        for threads in [1, 2, 7] {
             let par = DatasetBuilder::new().with_threads(threads).build(&c);
+            assert!(!Arc::ptr_eq(serial.lexicon(), par.lexicon()));
             assert_eq!(serial.len(), par.len());
             for (a, b) in serial.records.iter().zip(&par.records) {
                 assert_eq!(a.alias, b.alias, "threads = {threads}");
                 assert_eq!(a.text, b.text);
-                assert_eq!(a.counted.word_counts(), b.counted.word_counts());
-                assert_eq!(a.counted.char_counts(), b.counted.char_counts());
+                assert_eq!(
+                    by_string(a.counted.word_counts()),
+                    by_string(b.counted.word_counts()),
+                    "threads = {threads}"
+                );
+                assert_eq!(
+                    by_string(a.counted.char_counts()),
+                    by_string(b.counted.char_counts()),
+                    "threads = {threads}"
+                );
             }
+            assert_eq!(serial, par);
         }
+    }
+
+    #[test]
+    fn foreign_records_are_rebased_into_one_lineage() {
+        let a = DatasetBuilder::new().build(&corpus());
+        let b = DatasetBuilder::new().build(&corpus());
+        let mixed = Dataset::new("mixed", vec![a.records[0].clone(), b.records[1].clone()]);
+        for r in &mixed.records {
+            assert!(mixed.lexicon().covers(r.counted.lexicon()));
+        }
+        assert!(mixed.lexicon().covers(a.lexicon()), "a's ids are kept");
+        assert_eq!(mixed.records[1].counted, b.records[1].counted);
+        // Rebasing is a no-op inside one lineage, a copy across two.
+        assert!(matches!(a.rebased_onto(mixed.lexicon()), Cow::Borrowed(_)));
+        let base_len = a.lexicon().len();
+        let rebased = b.rebased_onto(a.lexicon());
+        assert!(matches!(rebased, Cow::Owned(_)));
+        assert_eq!(*rebased, b);
+        assert!(rebased.lexicon().covers(a.lexicon()));
+        assert_eq!(a.lexicon().len(), base_len, "the base never grows");
     }
 }

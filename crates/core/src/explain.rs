@@ -9,9 +9,7 @@
 //! both aliases' posts looking for the same phrasing and the same habits.
 
 use crate::dataset::Record;
-use darklight_features::ngram::{char_ngrams_up_to, word_ngrams_up_to};
-use darklight_features::vocab::count_terms;
-use std::collections::HashMap;
+use darklight_features::lexicon::TermCounts;
 use std::fmt;
 
 /// One piece of shared stylometric evidence.
@@ -89,18 +87,17 @@ impl fmt::Display for MatchExplanation {
 /// How many shared features to keep per channel.
 const TOP_FEATURES: usize = 20;
 
-/// Explains a matched pair of records.
+/// Explains a matched pair of records, from the n-grams their counted
+/// documents already hold (counted at their datasets' n-gram maxima).
 pub fn explain_pair(a: &Record, b: &Record) -> MatchExplanation {
-    let words_a = count_terms(word_ngrams_up_to(a.doc.words(), 3));
-    let words_b = count_terms(word_ngrams_up_to(b.doc.words(), 3));
-    let chars_a = count_terms(char_ngrams_up_to(a.doc.char_text(), 5));
-    let chars_b = count_terms(char_ngrams_up_to(b.doc.char_text(), 5));
-
-    let shared_word_grams = top_shared(&words_a, &words_b, |g| {
+    let (a_counts, b_counts) = (&a.counted, &b.counted);
+    let shared_word_grams = top_shared(a_counts.word_counts(), b_counts.word_counts(), |g| {
         // Prefer multi-word phrases and rare-looking unigrams.
         g.contains(' ') || g.len() >= 6
     });
-    let shared_char_grams = top_shared(&chars_a, &chars_b, |g| g.chars().count() >= 3);
+    let shared_char_grams = top_shared(a_counts.char_counts(), b_counts.char_counts(), |g| {
+        g.chars().count() >= 3
+    });
 
     let (activity_similarity, common_active_hours) = match (&a.profile, &b.profile) {
         (Some(pa), Some(pb)) => {
@@ -131,16 +128,16 @@ pub fn explain_pair(a: &Record, b: &Record) -> MatchExplanation {
 }
 
 fn top_shared(
-    a: &HashMap<String, u32>,
-    b: &HashMap<String, u32>,
+    a: TermCounts<'_>,
+    b: TermCounts<'_>,
     interesting: impl Fn(&str) -> bool,
 ) -> Vec<SharedFeature> {
     let mut shared: Vec<SharedFeature> = a
-        .iter()
+        .terms()
         .filter(|(gram, _)| interesting(gram))
-        .filter_map(|(gram, &ca)| {
-            b.get(gram).map(|&cb| SharedFeature {
-                gram: gram.clone(),
+        .filter_map(|(gram, ca)| {
+            b.get(gram).map(|cb| SharedFeature {
+                gram: gram.to_string(),
                 count_a: ca,
                 count_b: cb,
                 weight: ca.min(cb) as f64 * gram.len() as f64,

@@ -152,7 +152,11 @@ impl Linker {
             return Vec::new();
         }
         let engine = TwoStage::new(self.config.two_stage.clone());
-        let stage1 = engine.reduce_prefit(&artifact.space, &artifact.known_vecs, &unknown_ds);
+        // One link-local extension of the artifact's lexicon for both
+        // stages; it is dropped with `unknown_ds`, so serving never grows
+        // the artifact.
+        let unknown_ds = unknown_ds.rebased_onto(artifact.known.lexicon());
+        let stage1 = engine.reduce_prefit(&artifact.space, &artifact.index, &unknown_ds);
         let ranked = engine.rescore(&artifact.known, &unknown_ds, stage1);
         engine
             .threshold_links(ranked)

@@ -76,12 +76,16 @@ impl LinkSession {
     /// Queries one prepared record: stage-1 lookup in the frozen index,
     /// then the usual stage-2 refit over the k candidates.
     pub fn query_record(&self, record: &Record) -> RankedMatch {
-        let v = self
-            .space
-            .vectorize_counted(&record.counted, record.profile.as_ref());
-        let candidates = self.index.top_k(&v, self.engine.config().k);
         let (max_word_n, max_char_n) = self.known.ngram_orders();
         let unknown = Dataset::with_orders("query", vec![record.clone()], max_word_n, max_char_n);
+        // One link-local extension of the known lexicon serves both
+        // stages and is dropped with the query.
+        let unknown = unknown.rebased_onto(self.known.lexicon());
+        let query = &unknown.records[0];
+        let v = self
+            .space
+            .vectorize_counted(&query.counted, query.profile.as_ref());
+        let candidates = self.index.top_k(&v, self.engine.config().k);
         self.engine
             .rescore(&self.known, &unknown, vec![candidates])
             .into_iter()

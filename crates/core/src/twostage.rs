@@ -7,9 +7,9 @@
 //! consequently the Tf-Idf weighting" — re-scores, and outputs the best
 //! pair when its score clears the threshold.
 
-use crate::attrib::{cmp_desc, top_k_of, CandidateIndex, Ranked};
+use crate::attrib::{cmp_desc, CandidateIndex, Ranked};
 use crate::dataset::Dataset;
-use darklight_features::pipeline::{FeatureConfig, FeatureExtractor};
+use darklight_features::pipeline::{FeatureConfig, FeatureExtractor, FeatureSpace};
 use darklight_features::sparse::SparseVector;
 use darklight_obs::PipelineMetrics;
 
@@ -135,10 +135,15 @@ impl TwoStage {
     /// `par.worker_panics` and `twostage.vectorize_panics`. Panics depend
     /// only on the record, so degraded output stays thread-count
     /// deterministic.
+    ///
+    /// `unknown` is rebased onto `known`'s lexicon first unless it
+    /// already is ([`Dataset::rebased_onto`]); callers that run several
+    /// stages rebase once up front.
     pub fn reduce(&self, known: &Dataset, unknown: &Dataset) -> Vec<Vec<Ranked>> {
         let metrics = &self.config.metrics;
         let _stage1 = metrics.timer("twostage.stage1").start();
         let threads = self.config.observed_threads();
+        let unknown = unknown.rebased_onto(known.lexicon());
         let space = FeatureExtractor::new(self.config.reduction.clone())
             .with_metrics(metrics.clone())
             .with_threads(threads)
@@ -156,25 +161,27 @@ impl TwoStage {
     }
 
     /// Stage 1 against an **already fitted** space: ranks every unknown
-    /// against precomputed known vectors instead of refitting on the
-    /// known set. This is the serving path for a persisted fit artifact
-    /// (`darklight-core::artifact`): the space and the known vectors are
-    /// restored bit-exactly from disk, queries are vectorized in the
-    /// restored space, and the candidate lists come out byte-identical
-    /// to [`reduce`](Self::reduce) on the original known dataset.
+    /// in a prebuilt candidate index over the known vectors instead of
+    /// refitting on the known set. This is the serving path for a
+    /// persisted fit artifact (`darklight-core::artifact`): the space and
+    /// the known vectors are restored bit-exactly from disk and indexed
+    /// once, queries are vectorized in the restored space, and the
+    /// candidate lists come out byte-identical to
+    /// [`reduce`](Self::reduce) on the original known dataset. Scoring
+    /// records into this engine's metrics, not the index's.
     pub fn reduce_prefit(
         &self,
-        space: &darklight_features::pipeline::FeatureSpace,
-        known_vecs: &[SparseVector],
+        space: &FeatureSpace,
+        index: &CandidateIndex,
         unknown: &Dataset,
     ) -> Vec<Vec<Ranked>> {
         let metrics = &self.config.metrics;
         let _stage1 = metrics.timer("twostage.stage1").start();
         let threads = self.config.observed_threads();
-        let index = CandidateIndex::build_with_metrics(known_vecs, space.dim(), metrics);
+        let unknown = unknown.rebased_onto(space.lexicon());
         let queries =
             self.vectorize_tolerant(&unknown.records, threads, space, "twostage.vectorize_query");
-        index.top_k_batch(&queries, self.config.k, threads)
+        index.top_k_batch_observed(&queries, self.config.k, threads, metrics)
     }
 
     /// Vectorizes `records` in parallel, degrading panicking records to
@@ -183,7 +190,7 @@ impl TwoStage {
         &self,
         records: &[crate::dataset::Record],
         threads: usize,
-        space: &darklight_features::pipeline::FeatureSpace,
+        space: &FeatureSpace,
         site: &str,
     ) -> Vec<SparseVector> {
         let metrics = &self.config.metrics;
@@ -201,11 +208,13 @@ impl TwoStage {
         .collect()
     }
 
-    /// Both stages for every unknown alias.
+    /// Both stages for every unknown alias. The unknown side is rebased
+    /// onto the known lexicon once, for both stages.
     pub fn run(&self, known: &Dataset, unknown: &Dataset) -> Vec<RankedMatch> {
         let _total = self.config.metrics.timer("twostage.total").start();
-        let stage1 = self.reduce(known, unknown);
-        self.rescore(known, unknown, stage1)
+        let unknown = unknown.rebased_onto(known.lexicon());
+        let stage1 = self.reduce(known, &unknown);
+        self.rescore(known, &unknown, stage1)
     }
 
     /// Stage 2 given existing stage-1 candidate lists (used by the batch
@@ -227,6 +236,9 @@ impl TwoStage {
         metrics
             .counter("twostage.rescored_unknowns")
             .add(unknown.records.len() as u64);
+        // Each refit counts the unknown's own grams too; in the known
+        // lineage they are raw ids like the candidates'.
+        let unknown = &*unknown.rebased_onto(known.lexicon());
         // Each unknown's refit/re-rank is independent; the shared helper
         // guarantees slot `u` of the output is unknown `u`'s result for
         // every thread count.
@@ -316,6 +328,7 @@ impl TwoStage {
     ) -> Vec<RankedMatch> {
         let metrics = &self.config.metrics;
         let threads = self.config.observed_threads();
+        let unknown = unknown.rebased_onto(known.lexicon());
         let space = FeatureExtractor::new(self.config.final_stage.clone())
             .with_metrics(metrics.clone())
             .with_threads(threads)
@@ -375,20 +388,6 @@ impl TwoStage {
             })
             .collect()
     }
-}
-
-/// Extension used by ablations: score a full similarity matrix without an
-/// index (small sets only).
-pub fn dense_scores(known: &[SparseVector], unknown: &[SparseVector]) -> Vec<Vec<f64>> {
-    unknown
-        .iter()
-        .map(|u| known.iter().map(|k| u.dot(k)).collect())
-        .collect()
-}
-
-/// Ranks a dense score row; see [`top_k_of`].
-pub fn rank_row(scores: &[f64], k: usize) -> Vec<Ranked> {
-    top_k_of(scores, k)
 }
 
 #[cfg(test)]

@@ -21,6 +21,8 @@
 //! * [`sparse`] — sorted sparse vectors with dot/cosine/concat;
 //! * [`ngram`] — word and character n-gram extraction (including the
 //!   space-free char 4-grams of the standard baseline);
+//! * [`lexicon`] — n-gram terms interned once per dataset to `u32` ids,
+//!   so fits and vectorization run on integers;
 //! * [`vocab`] — corpus-frequency counting and top-N vocabulary selection;
 //! * [`tfidf`] — smoothed TF-IDF weighting;
 //! * [`charfreq`] — the 42 fixed char-class frequency slots;
@@ -30,14 +32,14 @@
 #![warn(missing_docs)]
 
 pub mod charfreq;
-pub mod hashing;
+pub mod lexicon;
 pub mod ngram;
 pub mod pipeline;
 pub mod sparse;
 pub mod tfidf;
 pub mod vocab;
 
-pub use hashing::HashingVectorizer;
+pub use lexicon::{Lexicon, TermCounts};
 pub use pipeline::{CountedDoc, FeatureConfig, FeatureExtractor, FeatureSpace, PreparedDoc};
 pub use sparse::SparseVector;
 pub use tfidf::TfIdf;

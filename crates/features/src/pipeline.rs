@@ -24,15 +24,17 @@
 //! reported in Fig. 4 of the paper.
 
 use crate::charfreq::{char_class_frequencies, NUM_SLOTS};
-use crate::ngram::{char_ngrams_up_to, word_ngrams_up_to};
+use crate::lexicon::{GramTrie, Lexicon, TermCounts};
+use crate::ngram::{count_char_ngrams, count_word_ngrams};
 use crate::sparse::SparseVector;
 use crate::tfidf::TfIdf;
-use crate::vocab::{count_terms, VocabBuilder, Vocabulary};
+use crate::vocab::{VocabBuilder, Vocabulary};
 use darklight_activity::profile::{DailyActivityProfile, HOURS};
 use darklight_govern::EstimateBytes;
 use darklight_obs::{Counter, PipelineMetrics, Timer};
 use darklight_text::lemma::Lemmatizer;
 use darklight_text::token::{TokenKind, Tokenizer};
+use std::sync::Arc;
 
 /// Configuration of the feature families (Table II).
 #[derive(Debug, Clone, PartialEq)]
@@ -191,24 +193,162 @@ impl PreparedDoc {
 /// lengths. Counting is the expensive part of vectorization; the two-stage
 /// algorithm refits a feature space per unknown user, so counting once per
 /// document (instead of once per refit) is a large win.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Counts are id-sorted `(term id, count)` pairs in a shared [`Lexicon`],
+/// which the document holds a handle to, so a document describes itself
+/// wherever it is cloned. Documents counted together by
+/// [`count_all`](CountedDoc::count_all) share one lexicon; equality
+/// compares term strings, never ids.
+#[derive(Debug, Clone)]
 pub struct CountedDoc {
-    word_counts: std::collections::HashMap<String, u32>,
-    char_counts: std::collections::HashMap<String, u32>,
+    lexicon: Arc<Lexicon>,
+    word_counts: Vec<(u32, u32)>,
+    char_counts: Vec<(u32, u32)>,
     char_class: [f64; NUM_SLOTS],
     word_len: usize,
 }
 
+impl PartialEq for CountedDoc {
+    fn eq(&self, other: &CountedDoc) -> bool {
+        self.word_len == other.word_len
+            && self.char_class == other.char_class
+            && self.word_counts() == other.word_counts()
+            && self.char_counts() == other.char_counts()
+    }
+}
+
 impl CountedDoc {
     /// Counts a prepared document's n-grams up to the given maxima (use the
-    /// largest `max_word_n`/`max_char_n` of any config you will fit).
+    /// largest `max_word_n`/`max_char_n` of any config you will fit), in a
+    /// lexicon of its own. Prefer [`count_all`](CountedDoc::count_all) for
+    /// documents that will be fitted together.
     pub fn from_prepared(doc: &PreparedDoc, max_word_n: usize, max_char_n: usize) -> CountedDoc {
-        CountedDoc {
-            word_counts: count_terms(word_ngrams_up_to(&doc.words, max_word_n)),
-            char_counts: count_terms(char_ngrams_up_to(&doc.char_text, max_char_n)),
-            char_class: doc.char_class,
-            word_len: doc.words.len(),
+        CountedDoc::count_all(&[doc], max_word_n, max_char_n, 1)
+            .pop()
+            // audit:allow(no-naked-unwrap) -- count_all returns one document per input and one is passed
+            .expect("one document counted")
+    }
+
+    /// Counts every document's n-grams up to the given maxima on up to
+    /// `threads` workers, interning them into one new lexicon the results
+    /// share. Ids are first-seen order — documents in input order, grams
+    /// in order of first occurrence — for every thread count: each worker
+    /// counts a contiguous shard into a lexicon of its own, and the shards
+    /// are merged serially in shard order, each interning its terms in
+    /// its own first-seen order, which is the order one serial pass meets
+    /// them in.
+    pub fn count_all(
+        docs: &[&PreparedDoc],
+        max_word_n: usize,
+        max_char_n: usize,
+        threads: usize,
+    ) -> Vec<CountedDoc> {
+        let mut shards = darklight_par::par_map_chunks(docs, threads, |shard| {
+            let mut lexicon = Lexicon::new();
+            let (mut word_trie, mut char_trie) = (GramTrie::default(), GramTrie::default());
+            let pairs: Vec<_> = shard
+                .iter()
+                .map(|doc| {
+                    let words =
+                        count_word_ngrams(&mut word_trie, &mut lexicon, &doc.words, max_word_n);
+                    let chars =
+                        count_char_ngrams(&mut char_trie, &mut lexicon, &doc.char_text, max_char_n);
+                    (words, chars)
+                })
+                .collect();
+            (lexicon, pairs)
+        })
+        .into_iter();
+        // The first shard's ids already are the merged ones.
+        let Some((mut lexicon, mut pairs)) = shards.next() else {
+            return Vec::new();
+        };
+        for (local, shard_pairs) in shards {
+            let ids: Vec<u32> = (0..local.len() as u32)
+                .map(|id| lexicon.intern(local.term(id)))
+                .collect();
+            let remap = |local_pairs: Vec<(u32, u32)>| {
+                let mut merged: Vec<(u32, u32)> = local_pairs
+                    .into_iter()
+                    .map(|(id, c)| (ids[id as usize], c))
+                    .collect();
+                merged.sort_unstable_by_key(|&(id, _)| id);
+                merged
+            };
+            pairs.extend(
+                shard_pairs
+                    .into_iter()
+                    .map(|(words, chars)| (remap(words), remap(chars))),
+            );
         }
+        let lexicon = Arc::new(lexicon);
+        docs.iter()
+            .zip(pairs)
+            .map(|(doc, (word_counts, char_counts))| CountedDoc {
+                lexicon: Arc::clone(&lexicon),
+                word_counts,
+                char_counts,
+                char_class: doc.char_class,
+                word_len: doc.words.len(),
+            })
+            .collect()
+    }
+
+    /// Re-expresses `docs` in one new extension of `base` that they all
+    /// share: documents whose lexicon `base` covers keep their ids, and
+    /// the rest are translated through their term strings, their new
+    /// terms appended to the extension. `base` itself never grows.
+    pub fn rebase_all(docs: &[&CountedDoc], base: &Arc<Lexicon>) -> Vec<CountedDoc> {
+        let mut lexicon = Lexicon::extending(base);
+        let mut translate = |counts: TermCounts<'_>| {
+            if base.covers(counts.lexicon()) {
+                return counts.pairs().to_vec();
+            }
+            let mut pairs: Vec<(u32, u32)> = counts
+                .terms()
+                .map(|(term, c)| (lexicon.intern(term), c))
+                .collect();
+            pairs.sort_unstable_by_key(|&(id, _)| id);
+            pairs
+        };
+        let pairs: Vec<_> = docs
+            .iter()
+            .map(|d| (translate(d.word_counts()), translate(d.char_counts())))
+            .collect();
+        let lexicon = Arc::new(lexicon);
+        docs.iter()
+            .zip(pairs)
+            .map(|(doc, (word_counts, char_counts))| CountedDoc {
+                lexicon: Arc::clone(&lexicon),
+                word_counts,
+                char_counts,
+                char_class: doc.char_class,
+                word_len: doc.word_len,
+            })
+            .collect()
+    }
+
+    /// The deepest lexicon of the documents' common lineage — the one
+    /// covering every document's lexicon — or `None` when some documents
+    /// come from unrelated lexicons (or there are none).
+    pub fn shared_lexicon<'a, I>(docs: I) -> Option<&'a Arc<Lexicon>>
+    where
+        I: IntoIterator<Item = &'a CountedDoc>,
+    {
+        let mut deepest: Option<&'a Arc<Lexicon>> = None;
+        for doc in docs {
+            match deepest {
+                Some(d) if d.covers(&doc.lexicon) => {}
+                Some(d) if !doc.lexicon.covers(d) => return None,
+                _ => deepest = Some(&doc.lexicon),
+            }
+        }
+        deepest
+    }
+
+    /// The lexicon the document's ids belong to.
+    pub fn lexicon(&self) -> &Arc<Lexicon> {
+        &self.lexicon
     }
 
     /// Number of word tokens in the underlying document.
@@ -217,22 +357,14 @@ impl CountedDoc {
     }
 
     /// The word n-gram counts.
-    pub fn word_counts(&self) -> &std::collections::HashMap<String, u32> {
-        &self.word_counts
+    pub fn word_counts(&self) -> TermCounts<'_> {
+        TermCounts::new(&self.lexicon, &self.word_counts)
     }
 
     /// The char n-gram counts.
-    pub fn char_counts(&self) -> &std::collections::HashMap<String, u32> {
-        &self.char_counts
+    pub fn char_counts(&self) -> TermCounts<'_> {
+        TermCounts::new(&self.lexicon, &self.char_counts)
     }
-}
-
-/// Rough bytes of one counting map: string payload plus a flat per-entry
-/// charge for the `String` header, the `u32`, and bucket overhead. A sum
-/// over entries is order-independent, so the estimate is deterministic
-/// even though the map itself is not.
-fn count_map_bytes(map: &std::collections::HashMap<String, u32>) -> u64 {
-    map.keys().map(|k| k.len() as u64 + 48).sum::<u64>() + 48
 }
 
 impl EstimateBytes for PreparedDoc {
@@ -246,8 +378,11 @@ impl EstimateBytes for PreparedDoc {
 
 impl EstimateBytes for CountedDoc {
     fn estimate_bytes(&self) -> u64 {
-        count_map_bytes(&self.word_counts)
-            + count_map_bytes(&self.char_counts)
+        // Eight bytes per `(id, count)` pair plus the two pair-vector
+        // headers; the term strings live in the lexicon, charged once per
+        // dataset (see `Lexicon`'s estimate).
+        ((self.word_counts.len() + self.char_counts.len()) as u64) * 8
+            + 2 * 24
             + (NUM_SLOTS as u64) * 8
             + 64
     }
@@ -360,74 +495,74 @@ impl FeatureExtractor {
 
     /// Fits the vocabularies and IDF weights on `docs` (the paper fits on
     /// the *known* author set, then vectorizes knowns and unknowns in that
-    /// space).
+    /// space). Counts the documents at this config's n-gram maxima first.
     pub fn fit<'a, I>(&self, docs: I) -> FeatureSpace
     where
         I: IntoIterator<Item = &'a PreparedDoc>,
     {
         let _fit = self.metrics.timer("features.fit").start();
         let docs: Vec<&PreparedDoc> = docs.into_iter().collect();
-        let (word_builder, char_builder) = self.accumulate(&docs, |doc, wb, cb| {
-            wb.add_doc_counts(&count_terms(word_ngrams_up_to(
-                &doc.words,
-                self.config.max_word_n,
-            )));
-            cb.add_doc_counts(&count_terms(char_ngrams_up_to(
-                &doc.char_text,
-                self.config.max_char_n,
-            )));
-        });
-        let word_vocab = word_builder.select_top(self.config.top_word_ngrams);
-        let char_vocab = char_builder.select_top(self.config.top_char_ngrams);
-        self.finish_space(word_vocab, char_vocab)
-    }
-
-    /// The map-reduce core of both fit paths: each worker accumulates a
-    /// private pair of [`VocabBuilder`]s over its contiguous document
-    /// shard, and the shards are merged serially in shard order. Term
-    /// totals, document frequencies, and document counts all sum, and
-    /// top-N selection ranks by (total, term) alone, so the fitted
-    /// vocabularies are identical to a serial pass for every thread count.
-    fn accumulate<D, F>(&self, docs: &[D], add: F) -> (VocabBuilder, VocabBuilder)
-    where
-        D: Sync,
-        F: Fn(&D, &mut VocabBuilder, &mut VocabBuilder) + Sync,
-    {
-        let threads = self.threads.max(1).min(docs.len().max(1));
-        self.metrics
-            .gauge("features.fit_threads")
-            .set(threads as i64);
-        let shards = darklight_par::par_map_chunks(docs, threads, |shard| {
-            let mut wb = VocabBuilder::new();
-            let mut cb = VocabBuilder::new();
-            for doc in shard {
-                add(doc, &mut wb, &mut cb);
-            }
-            (wb, cb)
-        });
-        let mut word_builder = VocabBuilder::new();
-        let mut char_builder = VocabBuilder::new();
-        for (wb, cb) in shards {
-            word_builder.merge(wb);
-            char_builder.merge(cb);
-        }
-        (word_builder, char_builder)
+        let counted = CountedDoc::count_all(
+            &docs,
+            self.config.max_word_n,
+            self.config.max_char_n,
+            self.threads,
+        );
+        self.fit_docs(&counted.iter().collect::<Vec<_>>())
     }
 
     /// Fits from precomputed [`CountedDoc`]s. The counts must have been
     /// produced with n-gram maxima at least as large as this config's
     /// (counting at larger maxima only adds longer grams, which simply
     /// compete in the frequency ranking exactly as the paper's do).
+    ///
+    /// Documents of one lexicon lineage are fitted on raw ids; documents
+    /// from unrelated lexicons are first rebased into one fit-local
+    /// extension (see [`CountedDoc::rebase_all`]). Either way the fitted
+    /// space is the same, because selection ranks by term strings.
     pub fn fit_counted<'a, I>(&self, docs: I) -> FeatureSpace
     where
         I: IntoIterator<Item = &'a CountedDoc>,
     {
         let _fit = self.metrics.timer("features.fit").start();
         let docs: Vec<&CountedDoc> = docs.into_iter().collect();
-        let (word_builder, char_builder) = self.accumulate(&docs, |doc, wb, cb| {
-            wb.add_doc_counts(&doc.word_counts);
-            cb.add_doc_counts(&doc.char_counts);
+        if CountedDoc::shared_lexicon(docs.iter().copied()).is_some() || docs.is_empty() {
+            return self.fit_docs(&docs);
+        }
+        let rebased = CountedDoc::rebase_all(&docs, docs[0].lexicon());
+        self.fit_docs(&rebased.iter().collect::<Vec<_>>())
+    }
+
+    /// The map-reduce core of both fit paths, over documents sharing one
+    /// lexicon lineage: each worker accumulates a private pair of
+    /// [`VocabBuilder`]s over its contiguous document shard, and the
+    /// shards are merged serially in shard order. Term totals, document
+    /// frequencies, and document counts all sum, and top-N selection
+    /// ranks by (total, term) alone, so the fitted vocabularies are
+    /// identical to a serial pass for every thread count.
+    fn fit_docs(&self, docs: &[&CountedDoc]) -> FeatureSpace {
+        let lexicon = CountedDoc::shared_lexicon(docs.iter().copied())
+            .cloned()
+            .unwrap_or_default();
+        let threads = self.threads.max(1).min(docs.len().max(1));
+        self.metrics
+            .gauge("features.fit_threads")
+            .set(threads as i64);
+        let shards = darklight_par::par_map_chunks(docs, threads, |shard| {
+            let mut wb = VocabBuilder::new(Arc::clone(&lexicon));
+            let mut cb = VocabBuilder::new(Arc::clone(&lexicon));
+            for doc in shard {
+                wb.add_doc(doc.word_counts());
+                cb.add_doc(doc.char_counts());
+            }
+            (wb, cb)
         });
+        let mut word_builder = VocabBuilder::new(Arc::clone(&lexicon));
+        let mut char_builder = VocabBuilder::new(lexicon);
+        for (wb, cb) in shards {
+            word_builder.merge(wb);
+            char_builder.merge(cb);
+        }
         let word_vocab = word_builder.select_top(self.config.top_word_ngrams);
         let char_vocab = char_builder.select_top(self.config.top_char_ngrams);
         self.finish_space(word_vocab, char_vocab)
@@ -472,6 +607,12 @@ impl FeatureSpace {
     /// The fitted char n-gram vocabulary.
     pub fn char_vocab(&self) -> &Vocabulary {
         &self.char_vocab
+    }
+
+    /// The lexicon the fitted vocabularies' ids belong to; documents from
+    /// a compatible lexicon vectorize without translation.
+    pub fn lexicon(&self) -> &Arc<Lexicon> {
+        self.word_vocab.lexicon()
     }
 
     /// Dense offset of the char n-gram block.
@@ -527,13 +668,13 @@ impl FeatureSpace {
         let _vec = self.instruments.vectorize.start();
         let mut v = self
             .word_tfidf
-            .transform(&self.word_vocab, &doc.word_counts);
+            .transform(&self.word_vocab, doc.word_counts());
         v = v.l2_normalized();
         v.scale(self.config.word_weight);
 
         let mut cv = self
             .char_tfidf
-            .transform(&self.char_vocab, &doc.char_counts);
+            .transform(&self.char_vocab, doc.char_counts());
         cv = cv.l2_normalized();
         cv.scale(self.config.char_weight);
         v.concat(&cv, self.char_offset());
@@ -731,10 +872,7 @@ mod tests {
             "a fifth document so shards stay ragged on two threads",
         ];
         let docs: Vec<PreparedDoc> = texts.iter().map(|t| prep(t)).collect();
-        let counted: Vec<CountedDoc> = docs
-            .iter()
-            .map(|d| CountedDoc::from_prepared(d, 3, 5))
-            .collect();
+        let counted = CountedDoc::count_all(&docs.iter().collect::<Vec<_>>(), 3, 5, 1);
         let cfg = FeatureConfig::space_reduction();
         let serial = FeatureExtractor::new(cfg.clone()).fit_counted(&counted);
         for threads in [2, 3, 7] {
@@ -753,6 +891,113 @@ mod tests {
                 .with_threads(threads)
                 .fit(&docs);
             assert_eq!(par_fit.dim(), serial.dim());
+        }
+    }
+
+    /// Sharded counting hands out the serial pass's ids: same lexicon,
+    /// term for term, and the same pairs, at every thread count.
+    #[test]
+    fn count_all_ids_are_thread_invariant() {
+        let texts = [
+            "alpha beta gamma delta",
+            "delta gamma new words here",
+            "beta beta alpha and more new words",
+            "a fourth document with a fresh tail",
+            "the fifth one repeats alpha delta",
+        ];
+        let docs: Vec<PreparedDoc> = texts.iter().map(|t| prep(t)).collect();
+        let refs: Vec<&PreparedDoc> = docs.iter().collect();
+        let serial = CountedDoc::count_all(&refs, 3, 5, 1);
+        let lexicon = serial[0].lexicon();
+        for threads in [2, 3, 7] {
+            let sharded = CountedDoc::count_all(&refs, 3, 5, threads);
+            let merged = sharded[0].lexicon();
+            assert_eq!(merged.len(), lexicon.len(), "threads = {threads}");
+            for id in 0..lexicon.len() as u32 {
+                assert_eq!(merged.term(id), lexicon.term(id), "threads = {threads}");
+            }
+            for (a, b) in serial.iter().zip(&sharded) {
+                assert!(Arc::ptr_eq(b.lexicon(), merged));
+                assert_eq!(a.word_counts().pairs(), b.word_counts().pairs());
+                assert_eq!(a.char_counts().pairs(), b.char_counts().pairs());
+            }
+        }
+        assert!(CountedDoc::count_all(&[], 3, 5, 2).is_empty());
+    }
+
+    fn vocab_terms(v: &Vocabulary) -> Vec<String> {
+        v.iter().map(|(t, _)| t.to_string()).collect()
+    }
+
+    fn assert_same_bits(a: &SparseVector, b: &SparseVector) {
+        assert_eq!(a.nnz(), b.nnz());
+        for ((ia, va), (ib, vb)) in a.iter().zip(b.iter()) {
+            assert_eq!(ia, ib);
+            assert_eq!(va.to_bits(), vb.to_bits(), "index {ia}");
+        }
+    }
+
+    /// The stage-2 freeze: known candidates counted in one lexicon, the
+    /// unknown rebased into a link-local extension whose terms all get
+    /// ids above every known term. The top-N cut falls inside a tie on
+    /// total; the kept terms and their order must follow the strings,
+    /// not the ids (which would keep the known terms).
+    #[test]
+    fn freeze_over_a_link_local_extension_follows_strings() {
+        let cfg = FeatureConfig {
+            max_word_n: 1,
+            max_char_n: 1,
+            top_word_ngrams: 3,
+            top_char_ngrams: 4,
+            ..FeatureConfig::final_stage()
+        };
+        let known_docs = [
+            PreparedDoc::prepare("zulu yankee xray", None),
+            PreparedDoc::prepare("zulu whiskey", None),
+        ];
+        let unknown_doc = PreparedDoc::prepare("bravo alpha zulu", None);
+        let known = CountedDoc::count_all(&known_docs.iter().collect::<Vec<_>>(), 1, 1, 1);
+        let unknown = CountedDoc::from_prepared(&unknown_doc, 1, 1);
+        let rebased = CountedDoc::rebase_all(&[&unknown], known[0].lexicon());
+        assert!(rebased[0].lexicon().covers(known[0].lexicon()));
+        let alpha = rebased[0].lexicon().id_of("alpha").unwrap();
+        assert!(alpha > known[0].lexicon().id_of("yankee").unwrap());
+
+        let space = FeatureExtractor::new(cfg.clone())
+            .fit_counted(known.iter().chain(std::iter::once(&rebased[0])));
+        assert!(Arc::ptr_eq(space.lexicon(), rebased[0].lexicon()));
+        // zulu (3) first, then the tie at 1 cut to its first two strings.
+        assert_eq!(vocab_terms(space.word_vocab()), ["zulu", "alpha", "bravo"]);
+
+        // Counted all together — other ids, same freeze, same bits.
+        let all_docs = [&known_docs[0], &known_docs[1], &unknown_doc];
+        let joint = CountedDoc::count_all(&all_docs, 1, 1, 1);
+        let joint_space = FeatureExtractor::new(cfg.clone()).fit_counted(&joint);
+        assert_eq!(
+            vocab_terms(joint_space.word_vocab()),
+            vocab_terms(space.word_vocab())
+        );
+        assert_eq!(
+            vocab_terms(joint_space.char_vocab()),
+            vocab_terms(space.char_vocab())
+        );
+        // And the unrebased unknown (an unrelated lexicon), which
+        // `fit_counted` rebases itself, gives the same result.
+        let foreign_space =
+            FeatureExtractor::new(cfg).fit_counted(known.iter().chain(std::iter::once(&unknown)));
+        assert_eq!(
+            vocab_terms(foreign_space.word_vocab()),
+            vocab_terms(space.word_vocab())
+        );
+        for (a, b) in joint.iter().zip(known.iter().chain(&rebased)) {
+            assert_same_bits(
+                &joint_space.vectorize_counted(a, None),
+                &space.vectorize_counted(b, None),
+            );
+            assert_same_bits(
+                &joint_space.vectorize_counted(a, None),
+                &foreign_space.vectorize_counted(b, None),
+            );
         }
     }
 

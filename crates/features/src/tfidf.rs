@@ -7,9 +7,9 @@
 //! authors' Python stack builds on), with raw term counts as TF and L2
 //! normalization applied by the caller.
 
+use crate::lexicon::TermCounts;
 use crate::sparse::SparseVector;
 use crate::vocab::Vocabulary;
-use std::collections::HashMap;
 
 /// A TF-IDF weigher over a frozen [`Vocabulary`].
 #[derive(Debug, Clone)]
@@ -60,26 +60,31 @@ impl TfIdf {
     /// normalized — callers normalize after concatenating feature blocks.
     ///
     /// ```
+    /// use std::sync::Arc;
+    /// use darklight_features::lexicon::{Lexicon, TermCounts};
     /// use darklight_features::tfidf::TfIdf;
-    /// use darklight_features::vocab::{count_terms, VocabBuilder};
+    /// use darklight_features::vocab::VocabBuilder;
     ///
-    /// let mut b = VocabBuilder::new();
-    /// b.add_doc_terms(["the", "the", "onion"].map(String::from));
-    /// b.add_doc_terms(["the", "market"].map(String::from));
+    /// let mut lex = Lexicon::new();
+    /// let d1 = lex.count_in(["the", "the", "onion"].map(String::from));
+    /// let d2 = lex.count_in(["the", "market"].map(String::from));
+    /// let query = lex.count_in(["the", "onion", "onion"].map(String::from));
+    /// let lex = Arc::new(lex);
+    /// let mut b = VocabBuilder::new(Arc::clone(&lex));
+    /// b.add_doc(TermCounts::new(&lex, &d1));
+    /// b.add_doc(TermCounts::new(&lex, &d2));
     /// let vocab = b.select_top(10);
     /// let tfidf = TfIdf::fit(&vocab);
-    /// let doc = count_terms(["the", "onion", "onion"].map(String::from));
-    /// let v = tfidf.transform(&vocab, &doc);
+    /// let v = tfidf.transform(&vocab, TermCounts::new(&lex, &query));
     /// // "onion" (rare) outweighs "the" (ubiquitous) despite lower raw tf.
     /// let onion = vocab.index_of("onion").unwrap();
     /// let the = vocab.index_of("the").unwrap();
     /// assert!(v.get(onion) > v.get(the));
     /// ```
-    pub fn transform(&self, vocab: &Vocabulary, counts: &HashMap<String, u32>) -> SparseVector {
-        let pairs = counts.iter().filter_map(|(term, &tf)| {
-            vocab
-                .index_of(term)
-                .map(|i| (i, tf as f32 * self.idf[i as usize]))
+    pub fn transform(&self, vocab: &Vocabulary, counts: TermCounts<'_>) -> SparseVector {
+        let mut pairs = Vec::with_capacity(counts.len().min(vocab.len()));
+        vocab.for_each_selected(counts, |i, tf| {
+            pairs.push((i, tf as f32 * self.idf[i as usize]));
         });
         SparseVector::from_pairs(pairs)
     }
@@ -88,21 +93,36 @@ impl TfIdf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vocab::{count_terms, VocabBuilder};
+    use crate::lexicon::Lexicon;
+    use crate::vocab::VocabBuilder;
+    use std::sync::Arc;
 
-    fn fit_corpus(docs: &[&[&str]]) -> (Vocabulary, TfIdf) {
-        let mut b = VocabBuilder::new();
-        for d in docs {
-            b.add_doc_terms(d.iter().map(|s| s.to_string()));
+    /// Fits on `docs` and counts `query` in the same lexicon.
+    fn fit_corpus(docs: &[&[&str]], query: &[&str]) -> (Vocabulary, TfIdf, Vec<f32>) {
+        let mut lex = Lexicon::new();
+        let counted: Vec<Vec<(u32, u32)>> = docs
+            .iter()
+            .map(|d| lex.count_in(d.iter().map(|s| s.to_string())))
+            .collect();
+        let q = lex.count_in(query.iter().map(|s| s.to_string()));
+        let lex = Arc::new(lex);
+        let mut b = VocabBuilder::new(Arc::clone(&lex));
+        for d in &counted {
+            b.add_doc(TermCounts::new(&lex, d));
         }
         let v = b.select_top(100);
         let t = TfIdf::fit(&v);
-        (v, t)
+        let vec = t.transform(&v, TermCounts::new(&lex, &q));
+        let dense = (0..v.len() as u32).map(|i| vec.get(i)).collect();
+        (v, t, dense)
     }
 
     #[test]
     fn idf_decreases_with_document_frequency() {
-        let (v, t) = fit_corpus(&[&["common", "rare"], &["common"], &["common"], &["common"]]);
+        let (v, t, _) = fit_corpus(
+            &[&["common", "rare"], &["common"], &["common"], &["common"]],
+            &[],
+        );
         let c = v.index_of("common").unwrap();
         let r = v.index_of("rare").unwrap();
         assert!(t.idf(r) > t.idf(c));
@@ -110,44 +130,39 @@ mod tests {
 
     #[test]
     fn idf_of_ubiquitous_term_is_one() {
-        let (v, t) = fit_corpus(&[&["x"], &["x"], &["x"]]);
+        let (v, t, _) = fit_corpus(&[&["x"], &["x"], &["x"]], &[]);
         // df == N: ln((1+N)/(1+N)) + 1 == 1.
         assert!((t.idf(v.index_of("x").unwrap()) - 1.0).abs() < 1e-6);
     }
 
     #[test]
     fn transform_multiplies_tf_and_idf() {
-        let (v, t) = fit_corpus(&[&["a", "b"], &["a"]]);
-        let doc = count_terms(["a", "a", "b"].map(String::from));
-        let vec = t.transform(&v, &doc);
+        let (v, t, dense) = fit_corpus(&[&["a", "b"], &["a"]], &["a", "a", "b"]);
         let ia = v.index_of("a").unwrap();
         let ib = v.index_of("b").unwrap();
-        assert!((vec.get(ia) - 2.0 * t.idf(ia)).abs() < 1e-6);
-        assert!((vec.get(ib) - t.idf(ib)).abs() < 1e-6);
+        assert!((dense[ia as usize] - 2.0 * t.idf(ia)).abs() < 1e-6);
+        assert!((dense[ib as usize] - t.idf(ib)).abs() < 1e-6);
     }
 
     #[test]
     fn out_of_vocab_ignored() {
-        let (v, t) = fit_corpus(&[&["known"]]);
-        let doc = count_terms(["unknown", "known"].map(String::from));
-        let vec = t.transform(&v, &doc);
-        assert_eq!(vec.nnz(), 1);
+        let (_, _, dense) = fit_corpus(&[&["known"]], &["unknown", "known"]);
+        assert_eq!(dense.iter().filter(|&&x| x != 0.0).count(), 1);
     }
 
     #[test]
     fn empty_doc_empty_vector() {
-        let (v, t) = fit_corpus(&[&["a"]]);
-        let vec = t.transform(&v, &HashMap::new());
-        assert!(vec.is_empty());
+        let (v, t, _) = fit_corpus(&[&["a"]], &[]);
+        let lex = Lexicon::new();
+        assert!(t.transform(&v, TermCounts::new(&lex, &[])).is_empty());
     }
 
     #[test]
     fn idf_always_positive() {
-        let (v, t) = fit_corpus(&[&["a", "b", "c"], &["a", "b"], &["a"]]);
+        let (_, t, _) = fit_corpus(&[&["a", "b", "c"], &["a", "b"], &["a"]], &[]);
         for i in 0..t.len() as u32 {
             assert!(t.idf(i) > 0.0);
         }
         assert!(!t.is_empty());
-        let _ = v;
     }
 }

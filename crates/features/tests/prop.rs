@@ -1,10 +1,12 @@
 //! Property-based tests for the feature substrate.
 
-use darklight_features::ngram::{char_ngrams_free_space, char_ngrams_up_to, word_ngrams_up_to};
-use darklight_features::pipeline::{FeatureConfig, FeatureExtractor, PreparedDoc};
+use darklight_features::lexicon::{Lexicon, TermCounts};
+use darklight_features::ngram::char_ngrams_free_space;
+use darklight_features::pipeline::{CountedDoc, FeatureConfig, FeatureExtractor, PreparedDoc};
 use darklight_features::sparse::SparseVector;
-use darklight_features::vocab::{count_terms, VocabBuilder};
+use darklight_features::vocab::VocabBuilder;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn sparse_strategy() -> impl Strategy<Value = SparseVector> {
     proptest::collection::vec((0u32..500, -10.0f32..10.0), 0..40).prop_map(SparseVector::from_pairs)
@@ -52,14 +54,17 @@ proptest! {
         }
     }
 
-    /// Word n-gram count matches the closed form Σ_{n=1..N} (L - n + 1)⁺.
+    /// Word n-gram occurrences match the closed form Σ_{n=1..N} (L - n + 1)⁺.
     #[test]
     fn word_ngram_count_closed_form(words in proptest::collection::vec("[a-z]{1,6}", 0..30), max_n in 1usize..5) {
-        let toks: Vec<String> = words;
+        let doc = PreparedDoc::prepare(&words.join(" "), None);
+        prop_assert_eq!(doc.words(), &words[..]);
         let expected: usize = (1..=max_n)
-            .map(|n| toks.len().saturating_sub(n - 1))
+            .map(|n| words.len().saturating_sub(n - 1))
             .sum();
-        prop_assert_eq!(word_ngrams_up_to(&toks, max_n).count(), expected);
+        let counted = CountedDoc::from_prepared(&doc, max_n, 1);
+        let total: u32 = counted.word_counts().terms().map(|(_, c)| c).sum();
+        prop_assert_eq!(total as usize, expected);
     }
 
     /// Free-space char n-grams never contain whitespace.
@@ -71,10 +76,11 @@ proptest! {
         }
     }
 
-    /// Every char n-gram has exactly n chars.
+    /// Every counted char n-gram has between 1 and max_n chars.
     #[test]
     fn char_ngram_lengths(s in "\\PC{0,100}", max_n in 1usize..6) {
-        for g in char_ngrams_up_to(&s, max_n) {
+        let counted = CountedDoc::from_prepared(&PreparedDoc::prepare(&s, None), 1, max_n);
+        for (g, _) in counted.char_counts().terms() {
             let l = g.chars().count();
             prop_assert!(l >= 1 && l <= max_n);
         }
@@ -86,18 +92,31 @@ proptest! {
         docs in proptest::collection::vec(proptest::collection::vec("[a-c]{1,2}", 1..20), 1..8),
         n in 1usize..10,
     ) {
-        let mut b = VocabBuilder::new();
-        for d in &docs {
-            b.add_doc_counts(&count_terms(d.iter().cloned()));
+        let mut lex = Lexicon::new();
+        let counted: Vec<Vec<(u32, u32)>> = docs.iter().map(|d| lex.count_in(d.iter().cloned())).collect();
+        let lex = Arc::new(lex);
+        let mut b = VocabBuilder::new(Arc::clone(&lex));
+        for d in &counted {
+            b.add_doc(TermCounts::new(&lex, d));
         }
         let v1 = b.select_top(n);
         let v2 = b.select_top(n);
         prop_assert!(v1.len() <= n);
-        let mut t1: Vec<(String, u32)> = v1.iter().map(|(t, i)| (t.to_string(), i)).collect();
-        let mut t2: Vec<(String, u32)> = v2.iter().map(|(t, i)| (t.to_string(), i)).collect();
-        t1.sort();
-        t2.sort();
-        prop_assert_eq!(t1, t2);
+        let t1: Vec<(String, u32)> = v1.iter().map(|(t, i)| (t.to_string(), i)).collect();
+        let t2: Vec<(String, u32)> = v2.iter().map(|(t, i)| (t.to_string(), i)).collect();
+        prop_assert_eq!(&t1, &t2);
+        // The kept terms are the first n of (total desc, term asc), and
+        // which ids the terms carry never matters: counting the documents
+        // in reverse order (other ids) selects the same vocabulary.
+        let mut rev = Lexicon::new();
+        let rev_counted: Vec<Vec<(u32, u32)>> = docs.iter().rev().map(|d| rev.count_in(d.iter().cloned())).collect();
+        let rev = Arc::new(rev);
+        let mut rb = VocabBuilder::new(Arc::clone(&rev));
+        for d in &rev_counted {
+            rb.add_doc(TermCounts::new(&rev, d));
+        }
+        let t3: Vec<(String, u32)> = rb.select_top(n).iter().map(|(t, i)| (t.to_string(), i)).collect();
+        prop_assert_eq!(&t1, &t3);
     }
 
     /// Pipeline vectors are unit-norm and vectorization is deterministic.
