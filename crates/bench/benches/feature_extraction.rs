@@ -1,5 +1,6 @@
 //! Benchmarks of the feature-extraction layer: tokenize+lemmatize,
-//! n-gram counting, space fitting, and vectorization.
+//! n-gram counting, and the stage-1 and stage-2 refits (fit plus
+//! vectorization) at the shapes the batch driver runs.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use darklight_features::pipeline::{CountedDoc, FeatureConfig, FeatureExtractor, PreparedDoc};
@@ -45,23 +46,44 @@ fn bench_counting(c: &mut Criterion) {
     });
 }
 
-fn bench_fit_and_vectorize(c: &mut Criterion) {
-    let texts = sample_texts(64, 1_500);
+/// The refits the batch driver runs, over 1,500-word users counted in
+/// one known lexicon of 105 users: a stage-1 refit on one batch of 26
+/// and a stage-2 refit on 10 candidates plus an unknown rebased into an
+/// extension of that lexicon. Each refit also vectorizes its own
+/// documents, as the driver does.
+fn bench_refits(c: &mut Criterion) {
     let lemmatizer = Lemmatizer::new();
-    let prepared: Vec<PreparedDoc> = texts
+    let prepared: Vec<PreparedDoc> = sample_texts(106, 1_500)
         .iter()
         .map(|t| PreparedDoc::prepare(t, Some(&lemmatizer)))
         .collect();
-    let docs = CountedDoc::count_all(&prepared.iter().collect::<Vec<_>>(), 3, 5, 1);
-    c.bench_function("fit_space_64_users", |b| {
-        b.iter(|| {
-            black_box(FeatureExtractor::new(FeatureConfig::final_stage()).fit_counted(docs.iter()))
-        })
+    let (known, unknown) = prepared.split_at(105);
+    let known = CountedDoc::count_all(&known.iter().collect::<Vec<_>>(), 3, 5, 1);
+    let unknown = CountedDoc::from_prepared(&unknown[0], 3, 5);
+    let unknown = CountedDoc::rebase_all(&[&unknown], known[0].lexicon()).remove(0);
+    let refit = |config: FeatureConfig, docs: &[&CountedDoc]| {
+        let space = FeatureExtractor::new(config).fit_counted(docs.iter().copied());
+        let vectors: Vec<_> = docs
+            .iter()
+            .map(|d| space.vectorize_counted(d, None))
+            .collect();
+        (space, vectors)
+    };
+    let batch: Vec<&CountedDoc> = known[..26].iter().collect();
+    c.bench_function("stage1_refit_26_users", |b| {
+        b.iter(|| black_box(refit(FeatureConfig::space_reduction(), &batch)))
     });
-    let space = FeatureExtractor::new(FeatureConfig::final_stage()).fit_counted(docs.iter());
+    let candidates: Vec<&CountedDoc> = known[..10]
+        .iter()
+        .chain(std::iter::once(&unknown))
+        .collect();
+    c.bench_function("stage2_refit_11_users", |b| {
+        b.iter(|| black_box(refit(FeatureConfig::final_stage(), &candidates)))
+    });
+    let space = FeatureExtractor::new(FeatureConfig::final_stage()).fit_counted(known.iter());
     c.bench_function("vectorize_counted", |b| {
         b.iter_batched(
-            || docs[0].clone(),
+            || known[0].clone(),
             |d| black_box(space.vectorize_counted(&d, None)),
             BatchSize::SmallInput,
         )
@@ -71,6 +93,6 @@ fn bench_fit_and_vectorize(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_prepare, bench_counting, bench_fit_and_vectorize
+    targets = bench_prepare, bench_counting, bench_refits
 }
 criterion_main!(benches);

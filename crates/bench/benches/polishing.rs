@@ -23,17 +23,20 @@ fn bench_polish(c: &mut Criterion) {
     });
 }
 
+/// The language filter over one user's 100 raw messages, as polishing
+/// runs it per message.
 fn bench_langdetect(c: &mut Criterion) {
     let det = LanguageDetector::new();
-    let texts = [
-        "this is a perfectly ordinary english sentence about shipping and vendors",
-        "la semana pasada compré algo parecido y llegó muy rápido a mi casa",
-        "ich habe gestern etwas ähnliches bestellt und es kam sehr schnell an",
-    ];
-    c.bench_function("langdetect_3_messages", |b| {
+    let user = raw_tmg()
+        .users
+        .iter()
+        .find(|u| u.posts.len() >= 100)
+        .expect("a user with 100 posts");
+    let messages: Vec<&str> = user.posts[..100].iter().map(|p| p.text.as_str()).collect();
+    c.bench_function("langdetect_100_messages", |b| {
         b.iter(|| {
-            for t in texts {
-                black_box(det.detect(t));
+            for m in &messages {
+                black_box(det.detect(m));
             }
         })
     });

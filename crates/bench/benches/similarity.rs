@@ -41,6 +41,16 @@ fn bench_index_scoring(c: &mut Criterion) {
     group.finish();
 }
 
+/// One stage-1 index build of the batch driver: 26 vectors of about
+/// 11,000 non-zeros each in the 90,000-dim reduction space.
+fn bench_index_build(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(5);
+    let vectors: Vec<SparseVector> = (0..26).map(|_| random_vector(&mut rng, 11_000)).collect();
+    c.bench_function("index_build_26x11k", |b| {
+        b.iter(|| black_box(CandidateIndex::build(&vectors, DIM as usize)))
+    });
+}
+
 fn bench_index_vs_dense(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(9);
     let vectors: Vec<SparseVector> = (0..500).map(|_| random_vector(&mut rng, 2_000)).collect();
@@ -60,6 +70,6 @@ fn bench_index_vs_dense(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_sparse_ops, bench_index_scoring, bench_index_vs_dense
+    targets = bench_sparse_ops, bench_index_scoring, bench_index_build, bench_index_vs_dense
 }
 criterion_main!(benches);

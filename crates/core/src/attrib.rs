@@ -50,10 +50,13 @@ impl IndexInstruments {
     }
 }
 
-/// An inverted index over the known aliases' unit-norm feature vectors.
+/// An inverted index over the known aliases' unit-norm feature vectors,
+/// stored compressed by feature: the postings of feature `f` are
+/// `postings[offsets[f]..offsets[f + 1]]`, in user order.
 #[derive(Debug, Clone)]
 pub struct CandidateIndex {
-    postings: Vec<Vec<(u32, f32)>>,
+    offsets: Vec<usize>,
+    postings: Vec<(u32, f32)>,
     n_users: usize,
     instruments: IndexInstruments,
 }
@@ -77,23 +80,48 @@ impl CandidateIndex {
         metrics: &PipelineMetrics,
     ) -> CandidateIndex {
         let _build = metrics.timer("attrib.index_build").start();
-        let mut postings: Vec<Vec<(u32, f32)>> = vec![Vec::new(); dim];
-        let mut nnz = 0u64;
+        // Count each feature's postings, turn the counts into offsets,
+        // then fill every list in user order.
+        let mut offsets = vec![0usize; dim + 1];
+        for v in vectors {
+            for (f, _) in v.iter() {
+                offsets[f as usize + 1] += 1;
+            }
+        }
+        for f in 0..dim {
+            offsets[f + 1] += offsets[f];
+        }
+        let nnz = offsets[dim];
+        let mut next = offsets.clone();
+        let mut postings = vec![(0u32, 0.0f32); nnz];
         for (user, v) in vectors.iter().enumerate() {
             for (f, w) in v.iter() {
-                postings[f as usize].push((user as u32, w));
-                nnz += 1;
+                let slot = &mut next[f as usize];
+                postings[*slot] = (user as u32, w);
+                *slot += 1;
             }
         }
         metrics
             .gauge("attrib.index_users")
             .set(vectors.len() as i64);
         metrics.gauge("attrib.index_dim").set(dim as i64);
-        metrics.counter("attrib.index_postings").add(nnz);
+        metrics.counter("attrib.index_postings").add(nnz as u64);
         CandidateIndex {
+            offsets,
             postings,
             n_users: vectors.len(),
             instruments: IndexInstruments::resolve(metrics),
+        }
+    }
+
+    /// The postings of feature `f` (empty past the indexed dimensions).
+    fn postings(&self, f: u32) -> &[(u32, f32)] {
+        match (
+            self.offsets.get(f as usize),
+            self.offsets.get(f as usize + 1),
+        ) {
+            (Some(&from), Some(&to)) => &self.postings[from..to],
+            _ => &[],
         }
     }
 
@@ -117,11 +145,10 @@ impl CandidateIndex {
         let mut scores = vec![0.0f64; self.n_users];
         let mut touched = 0u64;
         for (f, w) in query.iter() {
-            if let Some(list) = self.postings.get(f as usize) {
-                touched += list.len() as u64;
-                for &(user, wu) in list {
-                    scores[user as usize] += w as f64 * wu as f64;
-                }
+            let list = self.postings(f);
+            touched += list.len() as u64;
+            for &(user, wu) in list {
+                scores[user as usize] += w as f64 * wu as f64;
             }
         }
         instruments.postings_touched.record(touched);
@@ -234,13 +261,34 @@ mod tests {
         (CandidateIndex::build(&vectors, 8), vectors)
     }
 
+    /// Index scores carry the bits of the pairwise dot product: each
+    /// user's postings are walked in feature order, as the merge walks
+    /// them. Vectors from a fixed generator, empty ones included.
     #[test]
-    fn scores_match_pairwise_cosine() {
-        let (index, vectors) = sample_index();
-        let q = vec_of(&[(0, 1.0), (2, 1.0)]);
-        let scores = index.scores(&q);
-        for (i, v) in vectors.iter().enumerate() {
-            assert!((scores[i] - q.cosine(v)).abs() < 1e-6, "user {i}");
+    fn scores_equal_sparse_dot_bit_for_bit() {
+        let mut state: u64 = 0x2545_F491_4F6C_DD1D;
+        let mut next = |bound: u32| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % u64::from(bound)) as u32
+        };
+        let dim = 300;
+        let mut random_vector = |nnz: u32| {
+            let pairs: Vec<(u32, f32)> = (0..nnz)
+                .map(|_| (next(dim), next(10_000) as f32 / 977.0 + 1e-3))
+                .collect();
+            vec_of(&pairs)
+        };
+        let mut vectors: Vec<SparseVector> = (0..26).map(|u| random_vector(u * 7)).collect();
+        vectors.push(SparseVector::new());
+        let index = CandidateIndex::build(&vectors, dim as usize);
+        for nnz in [0, 1, 40, 150, 300] {
+            let q = random_vector(nnz);
+            let scores = index.scores(&q);
+            for (u, v) in vectors.iter().enumerate() {
+                assert_eq!(scores[u].to_bits(), q.dot(v).to_bits(), "user {u}");
+            }
         }
     }
 

@@ -41,10 +41,9 @@
 use crate::attrib::Ranked;
 use crate::checkpoint::{self, Checkpoint, CheckpointError, Fnv1a};
 use crate::dataset::Dataset;
-use crate::twostage::{RankedMatch, TwoStage};
+use crate::twostage::{DocView, RankedMatch, TwoStage};
 use darklight_features::pipeline::CountedDoc;
 use darklight_govern::{Deadline, EstimateBytes, Expired, GovernError, MemoryBudget};
-use std::borrow::Cow;
 use std::fmt;
 use std::path::PathBuf;
 
@@ -599,9 +598,9 @@ where
 /// refit over known records and unknown ones; when the two sides were
 /// counted apart, the unknowns' counts are rebased onto the known
 /// lexicon once, so all of those fits run on raw ids. Only the counts
-/// are copied ([`budget_overhead_bytes`] charges them); a dataset a round
-/// scores is then a transient clone of the caller's records with the
-/// rebased counts swapped in, and otherwise the caller's dataset itself.
+/// are copied ([`budget_overhead_bytes`] charges them); the stages read
+/// each unknown through a borrowed view of its counts (the rebased ones
+/// when there are) and the caller's profile.
 struct Unknowns<'a> {
     dataset: &'a Dataset,
     rebased: Option<Vec<CountedDoc>>,
@@ -615,28 +614,27 @@ impl<'a> Unknowns<'a> {
         }
     }
 
-    /// The whole unknown set in the known lexicon's lineage.
-    fn all(&self) -> Cow<'a, Dataset> {
-        match self.rebased {
-            Some(_) => Cow::Owned(self.subset(0..self.dataset.len())),
-            None => Cow::Borrowed(self.dataset),
+    /// Unknown `u` in the known lexicon's lineage.
+    fn view(&self, u: usize) -> DocView<'_> {
+        let record = &self.dataset.records[u];
+        DocView {
+            counted: self.rebased.as_ref().map_or(&record.counted, |c| &c[u]),
+            profile: record.profile.as_ref(),
         }
     }
 
-    /// Records `indices`, in that order, as a dataset in the known
-    /// lexicon's lineage.
-    fn subset(&self, indices: impl IntoIterator<Item = usize>) -> Dataset {
-        let ds = self.dataset;
-        let records = indices
-            .into_iter()
-            .map(|i| match &self.rebased {
-                Some(counts) => ds.records[i].with_counted(counts[i].clone()),
-                None => ds.records[i].clone(),
-            })
-            .collect();
-        let (max_word_n, max_char_n) = ds.ngram_orders();
-        Dataset::with_orders(ds.name.clone(), records, max_word_n, max_char_n)
+    /// Every unknown, in order, in the known lexicon's lineage.
+    fn views(&self) -> Vec<DocView<'_>> {
+        (0..self.dataset.len()).map(|u| self.view(u)).collect()
     }
+}
+
+/// Views of the known records `indices`, in that order.
+fn known_views<'a>(known: &'a Dataset, indices: &[usize]) -> Vec<DocView<'a>> {
+    indices
+        .iter()
+        .map(|&i| DocView::of(&known.records[i]))
+        .collect()
 }
 
 /// Final stage: rescore each unknown against its surviving pool.
@@ -658,9 +656,7 @@ fn finalize(
             if pool.is_empty() {
                 return Vec::new();
             }
-            let sub = subset(known, pool);
-            let one = unknown.subset([u]);
-            let reduced = engine.reduce(&sub, &one);
+            let reduced = engine.reduce_views(&known_views(known, pool), &[unknown.view(u)]);
             reduced[0]
                 .iter()
                 .take(engine.config().k)
@@ -671,7 +667,7 @@ fn finalize(
                 .collect()
         })
         .collect();
-    engine.rescore(known, &unknown.all(), stage1)
+    engine.rescore_views(&DocView::all(known), &unknown.views(), stage1)
 }
 
 /// One batched k-attribution round over `pool`. When `only` is given, only
@@ -689,22 +685,16 @@ fn batched_round(
     only: Option<usize>,
     deadline: &Deadline,
 ) -> Result<Vec<Vec<usize>>, Expired> {
-    let n_unknown = if only.is_some() {
-        1
-    } else {
-        unknown.dataset.len()
+    let queries = match only {
+        Some(u) => vec![unknown.view(u)],
+        None => unknown.views(),
     };
-    let mut new_pools: Vec<Vec<usize>> = vec![Vec::new(); n_unknown];
+    let mut new_pools: Vec<Vec<usize>> = vec![Vec::new(); queries.len()];
     for batch in pool.chunks(batch_size) {
         if deadline.is_expired() {
             return Err(Expired);
         }
-        let sub = subset(known, batch);
-        let uset = match only {
-            Some(u) => Cow::Owned(unknown.subset([u])),
-            None => unknown.all(),
-        };
-        let reduced = engine.reduce(&sub, &uset);
+        let reduced = engine.reduce_views(&known_views(known, batch), &queries);
         for (slot, ranked) in new_pools.iter_mut().zip(reduced) {
             for r in ranked.iter().take(engine.config().k) {
                 slot.push(batch[r.index]);
@@ -716,16 +706,6 @@ fn batched_round(
         p.dedup();
     }
     Ok(new_pools)
-}
-
-fn subset(ds: &Dataset, indices: &[usize]) -> Dataset {
-    let (max_word_n, max_char_n) = ds.ngram_orders();
-    Dataset::with_orders(
-        ds.name.clone(),
-        indices.iter().map(|&i| ds.records[i].clone()).collect(),
-        max_word_n,
-        max_char_n,
-    )
 }
 
 #[cfg(test)]

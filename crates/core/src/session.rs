@@ -5,38 +5,29 @@
 //! the investigator workflow the paper motivates ("support the authorities
 //! to drastically reduce the set of users under investigation"), where one
 //! fixed known set is probed with new unknown aliases as they surface.
-//! [`LinkSession`] freezes the fitted space and inverted index and answers
-//! single-alias queries in milliseconds.
+//! [`LinkSession`] holds one [`FitArtifact`] — the fitted space, the known
+//! vectors and their candidate index — and answers single-alias queries
+//! in milliseconds.
 
-use crate::attrib::CandidateIndex;
+use crate::artifact::FitArtifact;
 use crate::dataset::{Dataset, DatasetBuilder, Record};
 use crate::twostage::{RankedMatch, TwoStage, TwoStageConfig};
 use darklight_corpus::model::User;
-use darklight_features::pipeline::FeatureExtractor;
-use darklight_features::sparse::SparseVector;
 
 /// A reusable query session over a fixed known set.
 #[derive(Debug)]
 pub struct LinkSession {
     engine: TwoStage,
-    known: Dataset,
-    space: darklight_features::pipeline::FeatureSpace,
-    index: CandidateIndex,
+    artifact: FitArtifact,
     builder: DatasetBuilder,
 }
 
 impl LinkSession {
-    /// Fits the stage-1 space and index on `known`. Everything expensive
-    /// happens here.
+    /// Fits the stage-1 space and index on `known`
+    /// ([`FitArtifact::fit`]). Everything expensive happens here.
     pub fn new(config: TwoStageConfig, known: Dataset) -> LinkSession {
         let threads = config.effective_threads();
-        let space = FeatureExtractor::new(config.reduction.clone())
-            .with_threads(threads)
-            .fit_counted(known.records.iter().map(|r| &r.counted));
-        let vectors: Vec<SparseVector> = darklight_par::par_map(&known.records, threads, |_, r| {
-            space.vectorize_counted(&r.counted, r.profile.as_ref())
-        });
-        let index = CandidateIndex::build(&vectors, space.dim());
+        let artifact = FitArtifact::fit(&config, known);
         // Ad-hoc query users must be counted at the n-gram maxima the
         // session's stage configurations score with.
         let max_word_n = config
@@ -49,9 +40,7 @@ impl LinkSession {
             .max(config.final_stage.max_char_n);
         LinkSession {
             engine: TwoStage::new(config),
-            known,
-            space,
-            index,
+            artifact,
             builder: DatasetBuilder::new()
                 .with_ngram_orders(max_word_n, max_char_n)
                 .with_threads(threads),
@@ -60,34 +49,34 @@ impl LinkSession {
 
     /// The known dataset.
     pub fn known(&self) -> &Dataset {
-        &self.known
+        &self.artifact.known
     }
 
     /// Number of indexed known aliases.
     pub fn len(&self) -> usize {
-        self.known.len()
+        self.known().len()
     }
 
     /// `true` when the known set is empty.
     pub fn is_empty(&self) -> bool {
-        self.known.is_empty()
+        self.known().is_empty()
     }
 
-    /// Queries one prepared record: stage-1 lookup in the frozen index,
-    /// then the usual stage-2 refit over the k candidates.
+    /// Queries one prepared record: stage-1 lookup in the frozen index
+    /// ([`TwoStage::reduce_prefit`]), then the usual stage-2 refit over
+    /// the k candidates.
     pub fn query_record(&self, record: &Record) -> RankedMatch {
-        let (max_word_n, max_char_n) = self.known.ngram_orders();
+        let known = &self.artifact.known;
+        let (max_word_n, max_char_n) = known.ngram_orders();
         let unknown = Dataset::with_orders("query", vec![record.clone()], max_word_n, max_char_n);
         // One link-local extension of the known lexicon serves both
         // stages and is dropped with the query.
-        let unknown = unknown.rebased_onto(self.known.lexicon());
-        let query = &unknown.records[0];
-        let v = self
-            .space
-            .vectorize_counted(&query.counted, query.profile.as_ref());
-        let candidates = self.index.top_k(&v, self.engine.config().k);
+        let unknown = unknown.rebased_onto(known.lexicon());
+        let stage1 =
+            self.engine
+                .reduce_prefit(&self.artifact.space, &self.artifact.index, &unknown);
         self.engine
-            .rescore(&self.known, &unknown, vec![candidates])
+            .rescore(known, &unknown, stage1)
             .into_iter()
             .next()
             // audit:allow(no-naked-unwrap) -- rescore returns one RankedMatch per unknown and exactly one is passed
@@ -107,7 +96,7 @@ impl LinkSession {
         let m = self.query_user(user);
         let best = m.best()?;
         (best.score >= self.engine.config().threshold)
-            .then(|| (self.known.records[best.index].alias.clone(), best.score))
+            .then(|| (self.known().records[best.index].alias.clone(), best.score))
     }
 }
 

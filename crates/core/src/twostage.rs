@@ -8,10 +8,36 @@
 //! pair when its score clears the threshold.
 
 use crate::attrib::{cmp_desc, CandidateIndex, Ranked};
-use crate::dataset::Dataset;
-use darklight_features::pipeline::{FeatureConfig, FeatureExtractor, FeatureSpace};
+use crate::dataset::{Dataset, Record};
+use darklight_activity::profile::DailyActivityProfile;
+use darklight_features::pipeline::{CountedDoc, FeatureConfig, FeatureExtractor, FeatureSpace};
 use darklight_features::sparse::SparseVector;
 use darklight_obs::PipelineMetrics;
+
+/// What both stages read of a record: its counted document and its
+/// activity profile. The batch driver hands the stages borrowed views of
+/// the records it already holds instead of copying them into subset
+/// datasets.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DocView<'a> {
+    pub(crate) counted: &'a CountedDoc,
+    pub(crate) profile: Option<&'a DailyActivityProfile>,
+}
+
+impl<'a> DocView<'a> {
+    /// The view of `record`.
+    pub(crate) fn of(record: &'a Record) -> DocView<'a> {
+        DocView {
+            counted: &record.counted,
+            profile: record.profile.as_ref(),
+        }
+    }
+
+    /// The views of every record of `ds`, in record order.
+    pub(crate) fn all(ds: &'a Dataset) -> Vec<DocView<'a>> {
+        ds.records.iter().map(DocView::of).collect()
+    }
+}
 
 /// Configuration of the two-stage pipeline. Defaults are the paper's.
 #[derive(Debug, Clone, PartialEq)]
@@ -140,23 +166,30 @@ impl TwoStage {
     /// already is ([`Dataset::rebased_onto`]); callers that run several
     /// stages rebase once up front.
     pub fn reduce(&self, known: &Dataset, unknown: &Dataset) -> Vec<Vec<Ranked>> {
+        let unknown = unknown.rebased_onto(known.lexicon());
+        self.reduce_views(&DocView::all(known), &DocView::all(&unknown))
+    }
+
+    /// [`reduce`](Self::reduce) over borrowed record views. The unknown
+    /// documents must already be in a lexicon compatible with the known
+    /// ones' for the fast path (raw-id lookups); any other lexicon is
+    /// still correct, through string translation.
+    pub(crate) fn reduce_views(
+        &self,
+        known: &[DocView<'_>],
+        unknown: &[DocView<'_>],
+    ) -> Vec<Vec<Ranked>> {
         let metrics = &self.config.metrics;
         let _stage1 = metrics.timer("twostage.stage1").start();
         let threads = self.config.observed_threads();
-        let unknown = unknown.rebased_onto(known.lexicon());
         let space = FeatureExtractor::new(self.config.reduction.clone())
             .with_metrics(metrics.clone())
             .with_threads(threads)
-            .fit_counted(known.records.iter().map(|r| &r.counted));
+            .fit_counted(known.iter().map(|d| d.counted));
         let known_vecs =
-            self.vectorize_tolerant(&known.records, threads, &space, "twostage.vectorize_known");
+            self.vectorize_tolerant(known, threads, &space, "twostage.vectorize_known");
         let index = CandidateIndex::build_with_metrics(&known_vecs, space.dim(), metrics);
-        let queries = self.vectorize_tolerant(
-            &unknown.records,
-            threads,
-            &space,
-            "twostage.vectorize_query",
-        );
+        let queries = self.vectorize_tolerant(unknown, threads, &space, "twostage.vectorize_query");
         index.top_k_batch(&queries, self.config.k, threads)
     }
 
@@ -179,24 +212,28 @@ impl TwoStage {
         let _stage1 = metrics.timer("twostage.stage1").start();
         let threads = self.config.observed_threads();
         let unknown = unknown.rebased_onto(space.lexicon());
-        let queries =
-            self.vectorize_tolerant(&unknown.records, threads, space, "twostage.vectorize_query");
+        let queries = self.vectorize_tolerant(
+            &DocView::all(&unknown),
+            threads,
+            space,
+            "twostage.vectorize_query",
+        );
         index.top_k_batch_observed(&queries, self.config.k, threads, metrics)
     }
 
-    /// Vectorizes `records` in parallel, degrading panicking records to
+    /// Vectorizes `docs` in parallel, degrading panicking documents to
     /// the zero vector (skip-and-record policy; see [`reduce`](Self::reduce)).
     fn vectorize_tolerant(
         &self,
-        records: &[crate::dataset::Record],
+        docs: &[DocView<'_>],
         threads: usize,
         space: &FeatureSpace,
         site: &str,
     ) -> Vec<SparseVector> {
         let metrics = &self.config.metrics;
-        darklight_par::try_par_map(records, threads, metrics, |i, r| {
+        darklight_par::try_par_map(docs, threads, metrics, |i, d| {
             darklight_par::fault::maybe_panic(site, i);
-            space.vectorize_counted(&r.counted, r.profile.as_ref())
+            space.vectorize_counted(d.counted, d.profile)
         })
         .into_iter()
         .map(|slot| {
@@ -225,20 +262,27 @@ impl TwoStage {
         unknown: &Dataset,
         stage1: Vec<Vec<Ranked>>,
     ) -> Vec<RankedMatch> {
-        assert_eq!(
-            stage1.len(),
-            unknown.records.len(),
-            "stage-1 shape mismatch"
-        );
+        // Each refit counts the unknown's own grams too; in the known
+        // lineage they are raw ids like the candidates'.
+        let unknown = unknown.rebased_onto(known.lexicon());
+        self.rescore_views(&DocView::all(known), &DocView::all(&unknown), stage1)
+    }
+
+    /// [`rescore`](Self::rescore) over borrowed record views; candidate
+    /// indices point into `known`.
+    pub(crate) fn rescore_views(
+        &self,
+        known: &[DocView<'_>],
+        unknown: &[DocView<'_>],
+        stage1: Vec<Vec<Ranked>>,
+    ) -> Vec<RankedMatch> {
+        assert_eq!(stage1.len(), unknown.len(), "stage-1 shape mismatch");
         let metrics = &self.config.metrics;
         let _stage2 = metrics.timer("twostage.stage2").start();
         let threads = self.config.observed_threads();
         metrics
             .counter("twostage.rescored_unknowns")
-            .add(unknown.records.len() as u64);
-        // Each refit counts the unknown's own grams too; in the known
-        // lineage they are raw ids like the candidates'.
-        let unknown = &*unknown.rebased_onto(known.lexicon());
+            .add(unknown.len() as u64);
         // Each unknown's refit/re-rank is independent; the shared helper
         // guarantees slot `u` of the output is unknown `u`'s result for
         // every thread count.
@@ -251,7 +295,7 @@ impl TwoStage {
         // its payload preserved.
         let slots = darklight_par::try_par_map(&stage1, threads, metrics, |u, candidates| {
             darklight_par::fault::maybe_panic("twostage.rescore", u);
-            self.rescore_one(known, unknown, u, candidates)
+            self.rescore_one(known, unknown[u], u, candidates)
         });
         slots
             .into_iter()
@@ -266,8 +310,8 @@ impl TwoStage {
     /// vectorize, re-rank.
     fn rescore_one(
         &self,
-        known: &Dataset,
-        unknown: &Dataset,
+        known: &[DocView<'_>],
+        unknown: DocView<'_>,
         u: usize,
         candidates: &[Ranked],
     ) -> RankedMatch {
@@ -278,7 +322,6 @@ impl TwoStage {
                 stage2: Vec::new(),
             };
         }
-        let urec = &unknown.records[u];
         // The refit corpus is the k candidates *plus the unknown document*:
         // §IV-I — "this procedure changes the feature vector of the unknown
         // alias too". Grams unique to the unknown then carry high IDF,
@@ -286,15 +329,15 @@ impl TwoStage {
         let space = FeatureExtractor::new(self.config.final_stage.clone()).fit_counted(
             candidates
                 .iter()
-                .map(|c| &known.records[c.index].counted)
-                .chain(std::iter::once(&urec.counted)),
+                .map(|c| known[c.index].counted)
+                .chain(std::iter::once(unknown.counted)),
         );
-        let uvec = space.vectorize_counted(&urec.counted, urec.profile.as_ref());
+        let uvec = space.vectorize_counted(unknown.counted, unknown.profile);
         let mut stage2: Vec<Ranked> = candidates
             .iter()
             .map(|c| {
-                let rec = &known.records[c.index];
-                let v = space.vectorize_counted(&rec.counted, rec.profile.as_ref());
+                let doc = known[c.index];
+                let v = space.vectorize_counted(doc.counted, doc.profile);
                 Ranked {
                     index: c.index,
                     score: uvec.dot(&v),
@@ -333,11 +376,15 @@ impl TwoStage {
             .with_metrics(metrics.clone())
             .with_threads(threads)
             .fit_counted(known.records.iter().map(|r| &r.counted));
-        let known_vecs =
-            self.vectorize_tolerant(&known.records, threads, &space, "twostage.vectorize_known");
+        let known_vecs = self.vectorize_tolerant(
+            &DocView::all(known),
+            threads,
+            &space,
+            "twostage.vectorize_known",
+        );
         let index = CandidateIndex::build_with_metrics(&known_vecs, space.dim(), metrics);
         let queries = self.vectorize_tolerant(
-            &unknown.records,
+            &DocView::all(&unknown),
             threads,
             &space,
             "twostage.vectorize_query",

@@ -20,6 +20,18 @@
 //! so a refit ranks the same terms in the same order whatever ids they
 //! carry.
 //!
+//! ## String order
+//!
+//! Selection reads string order through [`Lexicon::rank_key`], not the
+//! strings. The first time something ranks the terms of a root lexicon
+//! (one without a parent), it sorts them once into a rank table (id →
+//! position in string order) and its inverse (position → id). An
+//! extension places each term it adds to its root — its own and any
+//! ancestor extension's — by binary search into the root order: the
+//! term's *slot* is the number of root terms ordering before it, and
+//! terms sharing a slot are ordered by string. Every key is then
+//! distinct, so ranking never reads a string.
+//!
 //! ## Lineage
 //!
 //! A lexicon may *extend* a parent: ids below the parent's length name
@@ -36,7 +48,7 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A one-multiply hasher for term ids. Ids are dense integers this
 /// crate hands out, never keys chosen outside the program, so they need
@@ -74,9 +86,25 @@ pub struct Lexicon {
     /// Number of ids the parent chain holds; own ids start here.
     offset: u32,
     terms: Vec<Arc<str>>,
-    /// [`sort_prefix`] of each own term.
-    prefixes: Vec<u64>,
     ids: HashMap<Arc<str>, u32>,
+    /// Where the terms sit in string order; built on first use and
+    /// dropped whenever a term is interned.
+    order: OnceLock<Order>,
+}
+
+/// Where a lexicon's terms sit in string order (see the module docs).
+// audit:allow(estimate-bytes-coverage) -- eight bytes per term it orders, inside the per-term charge of `Lexicon`'s estimate
+enum Order {
+    /// A root lexicon's rank table and its inverse.
+    Root {
+        /// Id → position in string order.
+        rank: Vec<u32>,
+        /// Position in string order → id.
+        by_rank: Vec<u32>,
+    },
+    /// An extension: the rank key of every term its root lacks, by id
+    /// minus the root's length.
+    Extension { root: Arc<Lexicon>, keys: Vec<u64> },
 }
 
 impl fmt::Debug for Lexicon {
@@ -137,18 +165,88 @@ impl Lexicon {
         }
     }
 
-    /// The first eight bytes of the term with id `id`, big-endian and
-    /// zero-padded (see [`sort_prefix`]): comparing these orders most
-    /// terms as their strings would, without touching the strings.
+    /// A key that orders the term with id `id` among this lexicon's
+    /// terms (its parent chain's included) as its string would: for two
+    /// ids `a`, `b`, `rank_key(a) < rank_key(b)` exactly when
+    /// `term(a) < term(b)`. Compare keys from one lexicon only: an
+    /// extension's keys of its parent's terms may differ from the
+    /// parent's own. The first call on a lexicon builds its order (see
+    /// the module docs); a root lexicon pays one sort of its terms, once.
     ///
     /// # Panics
     ///
     /// Panics if `id >= self.len()`.
-    pub fn prefix(&self, id: u32) -> u64 {
-        match &self.parent {
-            Some(parent) if id < self.offset => parent.prefix(id),
-            _ => self.prefixes[(id - self.offset) as usize],
+    pub fn rank_key(&self, id: u32) -> u64 {
+        // Root term at position r → (r + 1) << 32; the j-th extension
+        // term (from 0) of slot s → (s << 32) + j + 1, which falls between
+        // the keys of the root terms at positions s - 1 and s.
+        match self.order() {
+            Order::Root { rank, .. } => (u64::from(rank[id as usize]) + 1) << 32,
+            Order::Extension { root, keys } => match id.checked_sub(id_for(root.len())) {
+                Some(own) => keys[own as usize],
+                None => root.rank_key(id),
+            },
         }
+    }
+
+    fn order(&self) -> &Order {
+        self.order.get_or_init(|| {
+            let Some(mut root) = self.parent.as_ref() else {
+                // Leading bytes order most terms without reading the
+                // strings behind their pointers; only equal ones compare
+                // the whole strings.
+                let mut keyed: Vec<(u64, u32)> = self
+                    .terms
+                    .iter()
+                    .enumerate()
+                    .map(|(id, term)| (leading_bytes(term), id as u32))
+                    .collect();
+                keyed.sort_unstable_by(|a, b| {
+                    a.0.cmp(&b.0)
+                        .then_with(|| self.terms[a.1 as usize].cmp(&self.terms[b.1 as usize]))
+                });
+                let by_rank: Vec<u32> = keyed.into_iter().map(|(_, id)| id).collect();
+                let mut rank = vec![0u32; by_rank.len()];
+                for (r, &id) in by_rank.iter().enumerate() {
+                    rank[id as usize] = r as u32;
+                }
+                return Order::Root { rank, by_rank };
+            };
+            while let Some(parent) = &root.parent {
+                root = parent;
+            }
+            let Order::Root { by_rank, .. } = root.order() else {
+                unreachable!("a lexicon without a parent has a root order")
+            };
+            // (slot, id) of every term past the root, in string order.
+            let first = id_for(root.len());
+            let mut placed: Vec<(u32, u32)> = (first..id_for(self.len()))
+                .map(|id| {
+                    let term = self.term(id);
+                    let slot = by_rank.partition_point(|&r| root.term(r) < term);
+                    (slot as u32, id)
+                })
+                .collect();
+            placed.sort_unstable_by(|a, b| {
+                a.0.cmp(&b.0)
+                    .then_with(|| self.term(a.1).cmp(self.term(b.1)))
+            });
+            let mut keys = vec![0u64; placed.len()];
+            let (mut previous, mut in_slot) = (None, 0u64);
+            for &(slot, id) in &placed {
+                in_slot = if previous == Some(slot) {
+                    in_slot + 1
+                } else {
+                    1
+                };
+                previous = Some(slot);
+                keys[(id - first) as usize] = (u64::from(slot) << 32) + in_slot;
+            }
+            Order::Extension {
+                root: Arc::clone(root),
+                keys,
+            }
+        })
     }
 
     /// The id of `term`, interning it first when it is new.
@@ -158,9 +256,9 @@ impl Lexicon {
         }
         let id = id_for(self.len());
         let term: Arc<str> = Arc::from(term);
-        self.prefixes.push(sort_prefix(&term));
         self.terms.push(Arc::clone(&term));
         self.ids.insert(term, id);
+        self.order = OnceLock::new();
         id
     }
 
@@ -200,8 +298,8 @@ impl darklight_govern::EstimateBytes for Lexicon {
         // Own terms only: a parent is charged by the dataset that owns
         // it, so a link-local extension costs just the terms it adds. Per
         // term: the string plus its shared allocation header, the table
-        // slot, the sort prefix and the map entry. Summation is
-        // order-independent.
+        // slot, its rank and inverse-rank entries (or its extension key)
+        // and the map entry. Summation is order-independent.
         self.terms.iter().map(|t| t.len() as u64 + 88).sum::<u64>() + 96
     }
 }
@@ -214,6 +312,17 @@ impl darklight_govern::EstimateBytes for Lexicon {
 /// can hold in memory reaches.
 fn id_for(len: usize) -> u32 {
     u32::try_from(len).unwrap_or_else(|_| panic!("lexicon exceeds u32 ids ({len} terms)"))
+}
+
+/// The first eight bytes of `term`, big-endian, zero-padded:
+/// `leading_bytes(a) < leading_bytes(b)` implies `a < b`, because `str`
+/// orders bytewise.
+fn leading_bytes(term: &str) -> u64 {
+    let mut word = [0u8; 8];
+    let bytes = term.as_bytes();
+    let n = bytes.len().min(8);
+    word[..n].copy_from_slice(&bytes[..n]);
+    u64::from_be_bytes(word)
 }
 
 fn sorted_pairs(counts: IdMap<u32>) -> Vec<(u32, u32)> {
@@ -267,18 +376,6 @@ impl GramTrie {
         }
         sorted_pairs(counts)
     }
-}
-
-/// The first eight bytes of `term`, big-endian, zero-padded. For two
-/// terms `a`, `b`: `sort_prefix(a) < sort_prefix(b)` implies `a < b`, and
-/// only equal prefixes need the full strings compared, because `str`
-/// orders bytewise.
-pub fn sort_prefix(term: &str) -> u64 {
-    let mut word = [0u8; 8];
-    let bytes = term.as_bytes();
-    let n = bytes.len().min(8);
-    word[..n].copy_from_slice(&bytes[..n]);
-    u64::from_be_bytes(word)
 }
 
 /// One document's counts of one n-gram family: id-sorted `(id, count)`
@@ -379,30 +476,33 @@ mod tests {
         assert_eq!(lex.id_of("zz"), None);
     }
 
+    /// Keys order root and extension terms, at depths 1 and 2, as their
+    /// strings do, and every key is distinct.
     #[test]
-    fn prefixes_order_like_strings() {
-        let terms = [
-            "",
-            "a",
-            "a\0",
-            "ab",
-            "abcdefgh",
-            "abcdefghi",
-            "abcdefgz",
-            "é",
-            "z",
-        ];
-        for a in terms {
-            for b in terms {
-                let (pa, pb) = (sort_prefix(a), sort_prefix(b));
-                if pa != pb {
-                    assert_eq!(pa < pb, a < b, "{a:?} vs {b:?}");
+    fn rank_keys_order_like_strings() {
+        let mut root = Lexicon::new();
+        root.count_in(strings(&["m", "abcdefghi", "", "é", "abcdefgh"]));
+        let root = Arc::new(root);
+        let mut ext = Lexicon::extending(&root);
+        ext.count_in(strings(&["n", "a", "abcdefghz", "zz", "abcdefgh\0"]));
+        let ext = Arc::new(ext);
+        let mut deep = Lexicon::extending(&ext);
+        deep.count_in(strings(&["b", "o", "abcdefgha", "zzz", "é\0", "nn"]));
+        for lexicon in [&*root, &*ext, &deep] {
+            for a in 0..lexicon.len() as u32 {
+                for b in 0..lexicon.len() as u32 {
+                    let (ta, tb) = (lexicon.term(a), lexicon.term(b));
+                    let (ka, kb) = (lexicon.rank_key(a), lexicon.rank_key(b));
+                    assert_eq!(ka.cmp(&kb), ta.cmp(tb), "{ta:?} vs {tb:?}");
                 }
             }
         }
-        let mut lex = Lexicon::new();
-        let id = lex.intern("abcdefghi");
-        assert_eq!(lex.prefix(id), sort_prefix("abcdefgh"));
+        // Interning after ranking re-ranks.
+        let mut grow = Lexicon::new();
+        grow.intern("b");
+        let before = grow.rank_key(0);
+        grow.intern("a");
+        assert!(grow.rank_key(0) > before && grow.rank_key(1) < grow.rank_key(0));
     }
 
     #[test]

@@ -548,17 +548,24 @@ impl FeatureExtractor {
         self.metrics
             .gauge("features.fit_threads")
             .set(threads as i64);
-        let shards = darklight_par::par_map_chunks(docs, threads, |shard| {
-            let mut wb = VocabBuilder::new(Arc::clone(&lexicon));
-            let mut cb = VocabBuilder::new(Arc::clone(&lexicon));
+        let builders = || {
+            (
+                VocabBuilder::new(Arc::clone(&lexicon)),
+                VocabBuilder::new(Arc::clone(&lexicon)),
+            )
+        };
+        let mut shards = darklight_par::par_map_chunks(docs, threads, |shard| {
+            let (mut wb, mut cb) = builders();
             for doc in shard {
                 wb.add_doc(doc.word_counts());
                 cb.add_doc(doc.char_counts());
             }
             (wb, cb)
-        });
-        let mut word_builder = VocabBuilder::new(Arc::clone(&lexicon));
-        let mut char_builder = VocabBuilder::new(lexicon);
+        })
+        .into_iter();
+        // The first shard's builders hold the running totals; merging
+        // them into empty ones would only copy them.
+        let (mut word_builder, mut char_builder) = shards.next().unwrap_or_else(builders);
         for (wb, cb) in shards {
             word_builder.merge(wb);
             char_builder.merge(cb);
@@ -660,58 +667,79 @@ impl FeatureSpace {
     }
 
     /// Vectorizes a precounted document; see [`FeatureSpace::vectorize`].
+    ///
+    /// Each block is written once into the output, in index order, then
+    /// L2-normalized and weighted in place; the whole vector is
+    /// normalized last.
     pub fn vectorize_counted(
         &self,
         doc: &CountedDoc,
         activity: Option<&DailyActivityProfile>,
     ) -> SparseVector {
         let _vec = self.instruments.vectorize.start();
-        let mut v = self
-            .word_tfidf
-            .transform(&self.word_vocab, doc.word_counts());
-        v = v.l2_normalized();
-        v.scale(self.config.word_weight);
-
-        let mut cv = self
-            .char_tfidf
-            .transform(&self.char_vocab, doc.char_counts());
-        cv = cv.l2_normalized();
-        cv.scale(self.config.char_weight);
-        v.concat(&cv, self.char_offset());
-
-        if self.config.char_class_weight > 0.0 {
-            let mut ccv = SparseVector::from_pairs(
-                doc.char_class
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &f)| f > 0.0)
-                    .map(|(i, &f)| (i as u32, f as f32)),
-            );
-            ccv = ccv.l2_normalized();
-            ccv.scale(self.config.char_class_weight);
-            v.concat(&ccv, self.class_offset());
+        let config = &self.config;
+        let words = selected_in_order(&self.word_vocab, doc.word_counts());
+        let chars = selected_in_order(&self.char_vocab, doc.char_counts());
+        let mut v = SparseVector::with_capacity(words.len() + chars.len() + NUM_SLOTS + HOURS);
+        let blocks = [
+            (&words, &self.word_tfidf, 0, config.word_weight),
+            (
+                &chars,
+                &self.char_tfidf,
+                self.char_offset(),
+                config.char_weight,
+            ),
+        ];
+        for (keys, tfidf, offset, weight) in blocks {
+            let start = v.nnz();
+            for &key in keys.iter() {
+                let (i, tf) = ((key >> 32) as u32, key as u32);
+                v.push(offset + i, tf as f32 * tfidf.idf(i));
+            }
+            v.normalize_from(start);
+            v.scale_from(start, weight);
         }
 
-        if self.config.activity_weight > 0.0 {
+        if config.char_class_weight > 0.0 {
+            let start = v.nnz();
+            for (i, &f) in doc.char_class.iter().enumerate() {
+                if f > 0.0 {
+                    v.push(self.class_offset() + i as u32, f as f32);
+                }
+            }
+            v.normalize_from(start);
+            v.scale_from(start, config.char_class_weight);
+        }
+
+        if config.activity_weight > 0.0 {
             if let Some(profile) = activity {
-                let mut av = SparseVector::from_pairs(
-                    profile
-                        .shares()
-                        .iter()
-                        .enumerate()
-                        .filter(|&(_, &s)| s > 0.0)
-                        .map(|(h, &s)| (h as u32, s as f32)),
-                );
-                av = av.l2_normalized();
-                av.scale(self.config.activity_weight);
-                v.concat(&av, self.activity_offset());
+                let start = v.nnz();
+                for (h, &share) in profile.shares().iter().enumerate() {
+                    if share > 0.0 {
+                        v.push(self.activity_offset() + h as u32, share as f32);
+                    }
+                }
+                v.normalize_from(start);
+                v.scale_from(start, config.activity_weight);
             }
         }
-        let v = v.l2_normalized();
+        v.normalize_from(0);
         self.instruments.vectors.incr();
         self.instruments.nnz.add(v.nnz() as u64);
         v
     }
+}
+
+/// The terms of `counts` that `vocab` selected, as `(dense index << 32) |
+/// count` keys sorted by dense index. Each term has its own index, so
+/// the unstable sort is deterministic.
+fn selected_in_order(vocab: &Vocabulary, counts: TermCounts<'_>) -> Vec<u64> {
+    let mut keys = Vec::with_capacity(counts.len().min(vocab.len()));
+    vocab.for_each_selected(counts, |i, tf| {
+        keys.push(u64::from(i) << 32 | u64::from(tf))
+    });
+    keys.sort_unstable();
+    keys
 }
 
 #[cfg(test)]
@@ -998,6 +1026,103 @@ mod tests {
                 &joint_space.vectorize_counted(a, None),
                 &foreign_space.vectorize_counted(b, None),
             );
+        }
+    }
+
+    /// `vectorize_counted` as it stood before blocks were written in
+    /// place: each block built by `from_pairs`, normalized into a copy,
+    /// weighted, and concatenated; the whole normalized into a copy.
+    fn reference_vectorize(
+        space: &FeatureSpace,
+        doc: &CountedDoc,
+        activity: Option<&DailyActivityProfile>,
+    ) -> SparseVector {
+        let config = &space.config;
+        let mut v = space
+            .word_tfidf
+            .transform(&space.word_vocab, doc.word_counts());
+        v = v.l2_normalized();
+        v.scale(config.word_weight);
+        let mut cv = space
+            .char_tfidf
+            .transform(&space.char_vocab, doc.char_counts());
+        cv = cv.l2_normalized();
+        cv.scale(config.char_weight);
+        v.concat(&cv, space.char_offset());
+        if config.char_class_weight > 0.0 {
+            let mut ccv = SparseVector::from_pairs(
+                doc.char_class
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &f)| f > 0.0)
+                    .map(|(i, &f)| (i as u32, f as f32)),
+            );
+            ccv = ccv.l2_normalized();
+            ccv.scale(config.char_class_weight);
+            v.concat(&ccv, space.class_offset());
+        }
+        if config.activity_weight > 0.0 {
+            if let Some(profile) = activity {
+                let mut av = SparseVector::from_pairs(
+                    profile
+                        .shares()
+                        .iter()
+                        .enumerate()
+                        .filter(|&(_, &s)| s > 0.0)
+                        .map(|(h, &s)| (h as u32, s as f32)),
+                );
+                av = av.l2_normalized();
+                av.scale(config.activity_weight);
+                v.concat(&av, space.activity_offset());
+            }
+        }
+        v.l2_normalized()
+    }
+
+    /// In-place vectorization matches the copy-per-block reference bit
+    /// for bit: in the fitted space and in a refit on a subset (so some
+    /// terms fall outside the vocabulary), for an empty document, with
+    /// and without activity, and with each block weight set to zero.
+    #[test]
+    fn vectorize_counted_matches_the_reference_bit_for_bit() {
+        let texts = [
+            "i always ship with tracking and stealth is great, 10/10 would buy",
+            "never had a problem with this vendor!! top quality as always",
+            "bitcoin fees are insane today; the mempool is backed up again",
+            "",
+            "ÜBER naïve café — 日本語 text with 🙂 and numbers 42 42 42",
+        ];
+        let docs: Vec<PreparedDoc> = texts.iter().map(|t| prep(t)).collect();
+        let counted = CountedDoc::count_all(&docs.iter().collect::<Vec<_>>(), 3, 5, 1);
+        let base = FeatureConfig::final_stage();
+        let mut configs = vec![base.clone(), FeatureConfig::space_reduction()];
+        for zero in 0..4 {
+            let mut cfg = base.clone();
+            *[
+                &mut cfg.word_weight,
+                &mut cfg.char_weight,
+                &mut cfg.char_class_weight,
+                &mut cfg.activity_weight,
+            ][zero] = 0.0;
+            configs.push(cfg);
+        }
+        configs.push(FeatureConfig {
+            top_word_ngrams: 5,
+            top_char_ngrams: 7,
+            ..base
+        });
+        for cfg in configs {
+            for fit_on in [&counted[..], &counted[1..3]] {
+                let space = FeatureExtractor::new(cfg.clone()).fit_counted(fit_on);
+                for doc in &counted {
+                    for hour in [None, Some(profile(9))] {
+                        assert_same_bits(
+                            &space.vectorize_counted(doc, hour.as_ref()),
+                            &reference_vectorize(&space, doc, hour.as_ref()),
+                        );
+                    }
+                }
+            }
         }
     }
 

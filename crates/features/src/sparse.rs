@@ -114,11 +114,7 @@ impl SparseVector {
 
     /// Euclidean norm.
     pub fn norm(&self) -> f64 {
-        self.values
-            .iter()
-            .map(|&v| v as f64 * v as f64)
-            .sum::<f64>()
-            .sqrt()
+        norm_of(&self.values)
     }
 
     /// Cosine similarity in `[-1, 1]`; 0 when either vector is zero. For
@@ -142,24 +138,56 @@ impl SparseVector {
 
     /// Multiplies every value by `factor`.
     pub fn scale(&mut self, factor: f32) {
-        if factor == 0.0 {
-            self.indices.clear();
-            self.values.clear();
-            return;
-        }
-        for v in &mut self.values {
-            *v *= factor;
-        }
+        self.scale_from(0, factor);
     }
 
     /// Returns a unit-norm copy (the zero vector stays zero).
     pub fn l2_normalized(&self) -> SparseVector {
-        let n = self.norm();
         let mut out = self.clone();
-        if n > 0.0 {
-            out.scale((1.0 / n) as f32);
-        }
+        out.normalize_from(0);
         out
+    }
+
+    /// An empty vector with room for `n` entries.
+    pub(crate) fn with_capacity(n: usize) -> SparseVector {
+        SparseVector {
+            indices: Vec::with_capacity(n),
+            values: Vec::with_capacity(n),
+        }
+    }
+
+    /// Appends `(index, value)` unless `value` is zero, which
+    /// [`from_pairs`](SparseVector::from_pairs) would drop too. `index`
+    /// must exceed every stored index.
+    pub(crate) fn push(&mut self, index: u32, value: f32) {
+        debug_assert!(self.indices.last().is_none_or(|&last| last < index));
+        if value != 0.0 {
+            self.indices.push(index);
+            self.values.push(value);
+        }
+    }
+
+    /// Multiplies the entries from position `start` on by `factor`; a
+    /// zero factor drops them.
+    pub(crate) fn scale_from(&mut self, start: usize, factor: f32) {
+        if factor == 0.0 {
+            self.indices.truncate(start);
+            self.values.truncate(start);
+            return;
+        }
+        for v in &mut self.values[start..] {
+            *v *= factor;
+        }
+    }
+
+    /// Scales the entries from position `start` on to unit norm, bit for
+    /// bit as [`l2_normalized`](SparseVector::l2_normalized) scales a
+    /// vector holding only them (zero entries stay zero).
+    pub(crate) fn normalize_from(&mut self, start: usize) {
+        let n = norm_of(&self.values[start..]);
+        if n > 0.0 {
+            self.scale_from(start, (1.0 / n) as f32);
+        }
     }
 
     /// Appends `other` shifted by `offset` dimensions. All of `other`'s
@@ -195,6 +223,15 @@ impl SparseVector {
         self.indices = out_i;
         self.values = out_v;
     }
+}
+
+/// Euclidean norm of `values`, accumulated in order in `f64`.
+fn norm_of(values: &[f32]) -> f64 {
+    values
+        .iter()
+        .map(|&v| v as f64 * v as f64)
+        .sum::<f64>()
+        .sqrt()
 }
 
 impl FromIterator<(u32, f32)> for SparseVector {

@@ -27,10 +27,22 @@ impl TfIdf {
     /// Precomputes IDF weights from the vocabulary's document frequencies.
     pub fn fit(vocab: &Vocabulary) -> TfIdf {
         let n = vocab.num_docs() as f64;
+        let idf_of = |df: u32| (((1.0 + n) / (1.0 + df as f64)).ln() + 1.0) as f32;
+        // A fit's document frequencies lie in 1..=N, and N (the documents
+        // of one refit) is far smaller than the vocabulary, so the weight
+        // of each frequency is computed once. The table never outgrows
+        // the vocabulary; a frequency past it (only a restored vocabulary
+        // can hold one) is computed directly.
+        let table: Vec<f32> = (0..=vocab.num_docs().min(vocab.len() as u32))
+            .map(idf_of)
+            .collect();
         let idf = (0..vocab.len() as u32)
             .map(|i| {
-                let df = vocab.doc_freq(i) as f64;
-                (((1.0 + n) / (1.0 + df)).ln() + 1.0) as f32
+                let df = vocab.doc_freq(i);
+                table
+                    .get(df as usize)
+                    .copied()
+                    .unwrap_or_else(|| idf_of(df))
             })
             .collect();
         TfIdf { idf }
@@ -155,6 +167,31 @@ mod tests {
         let (v, t, _) = fit_corpus(&[&["a"]], &[]);
         let lex = Lexicon::new();
         assert!(t.transform(&v, TermCounts::new(&lex, &[])).is_empty());
+    }
+
+    /// The per-frequency table gives every weight the bits of the
+    /// formula evaluated per term, including frequencies past the
+    /// document count (a restored vocabulary may hold any).
+    #[test]
+    fn fit_matches_the_per_term_formula() {
+        let mut lex = Lexicon::new();
+        let ids: Vec<String> = (0..6).map(|i| format!("t{i}")).collect();
+        lex.count_in(ids.iter().cloned());
+        let lex = Arc::new(lex);
+        let terms: Vec<&str> = ids.iter().map(String::as_str).collect();
+        for (num_docs, doc_freq) in [
+            (3, vec![1, 2, 3, 3, 1, 2]),
+            (2, vec![1, 2, 3, 7, 0, u32::MAX]),
+            (u32::MAX, vec![1, 5, 1, 9, 2, 4]),
+        ] {
+            let v = Vocabulary::from_parts(&lex, &terms, doc_freq.clone(), num_docs).unwrap();
+            let t = TfIdf::fit(&v);
+            let n = num_docs as f64;
+            for (i, &df) in doc_freq.iter().enumerate() {
+                let want = (((1.0 + n) / (1.0 + df as f64)).ln() + 1.0) as f32;
+                assert_eq!(t.idf(i as u32).to_bits(), want.to_bits(), "df {df}");
+            }
+        }
     }
 
     #[test]

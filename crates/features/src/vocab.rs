@@ -85,31 +85,28 @@ impl VocabBuilder {
     /// Document frequencies are carried along for IDF weighting.
     pub fn select_top(&self, n: usize) -> Vocabulary {
         let lexicon = &self.lexicon;
-        // (total, sort prefix, id, df). Distinct ids are distinct strings,
-        // so (total desc, term asc) is a strict total order and the
-        // unstable sorts below are deterministic; the prefix settles most
-        // ties without reading the strings.
-        let rank = |a: &(u64, u64, u32, u32), b: &(u64, u64, u32, u32)| {
-            b.0.cmp(&a.0)
-                .then(a.1.cmp(&b.1))
-                .then_with(|| lexicon.term(a.2).cmp(lexicon.term(b.2)))
-        };
-        let mut items: Vec<(u64, u64, u32, u32)> = self
+        // (sort key, id, df), the key (total desc, term asc): distinct
+        // terms have distinct rank keys, so keys are distinct and the
+        // unstable sorts below are deterministic.
+        let mut items: Vec<(u128, u32, u32)> = self
             .stats
             .iter()
-            .map(|(&id, &(total, df))| (total, lexicon.prefix(id), id, df))
+            .map(|(&id, &(total, df))| {
+                let key = u128::from(u64::MAX - total) << 64 | u128::from(lexicon.rank_key(id));
+                (key, id, df)
+            })
             .collect();
         if n < items.len() {
             if n == 0 {
                 items.clear();
             } else {
-                items.select_nth_unstable_by(n - 1, rank);
+                items.select_nth_unstable_by_key(n - 1, |&(key, _, _)| key);
                 items.truncate(n);
             }
         }
-        items.sort_unstable_by(rank);
-        let ids: Vec<u32> = items.iter().map(|&(_, _, id, _)| id).collect();
-        let doc_freq = items.iter().map(|&(_, _, _, df)| df).collect();
+        items.sort_unstable_by_key(|&(key, _, _)| key);
+        let ids: Vec<u32> = items.iter().map(|&(_, id, _)| id).collect();
+        let doc_freq = items.iter().map(|&(_, _, df)| df).collect();
         Vocabulary::freeze(Arc::clone(lexicon), ids, doc_freq, self.docs)
     }
 }

@@ -16,6 +16,24 @@ fn nonneg_sparse_strategy() -> impl Strategy<Value = SparseVector> {
     proptest::collection::vec((0u32..500, 0.01f32..10.0), 0..40).prop_map(SparseVector::from_pairs)
 }
 
+/// Prefixes terms share: none, 8 bytes, 16 bytes, and multibyte ones.
+const TERM_PREFIXES: [&str; 6] = [
+    "",
+    "abcdefgh",
+    "abcdefghijklmnop",
+    "abcdefg\u{e9}",
+    "日本",
+    "é",
+];
+
+/// A term: a shared prefix plus a short tail over a few ASCII and
+/// multibyte chars, so terms often tie, and often only past 8 or 16
+/// bytes.
+fn term_strategy() -> impl Strategy<Value = String> {
+    (0..TERM_PREFIXES.len(), "[ab\u{e9}日z]{0,3}")
+        .prop_map(|(p, tail)| format!("{}{tail}", TERM_PREFIXES[p]))
+}
+
 proptest! {
     /// Sparse indices are strictly increasing after construction.
     #[test]
@@ -117,6 +135,61 @@ proptest! {
         }
         let t3: Vec<(String, u32)> = rb.select_top(n).iter().map(|(t, i)| (t.to_string(), i)).collect();
         prop_assert_eq!(&t1, &t3);
+    }
+
+    /// Rank-keyed selection keeps and orders exactly the terms the string
+    /// comparator (total desc, term asc) does, with their document
+    /// frequencies, over a root lexicon and extensions of it at depths 1
+    /// and 2. Terms share 8- and 16-byte prefixes and carry multibyte
+    /// chars, and small counts put ties across every cut.
+    #[test]
+    fn select_top_matches_the_string_comparator(
+        root_docs in proptest::collection::vec(proptest::collection::vec(term_strategy(), 0..12), 1..5),
+        ext_docs in proptest::collection::vec(proptest::collection::vec(term_strategy(), 0..12), 0..4),
+        deep_docs in proptest::collection::vec(proptest::collection::vec(term_strategy(), 0..12), 0..4),
+        cut in 0usize..40,
+    ) {
+        let mut root = Lexicon::new();
+        let root_pairs: Vec<Vec<(u32, u32)>> = root_docs.iter().map(|d| root.count_in(d.iter().cloned())).collect();
+        let root = Arc::new(root);
+        let mut ext = Lexicon::extending(&root);
+        let ext_pairs: Vec<Vec<(u32, u32)>> = ext_docs.iter().map(|d| ext.count_in(d.iter().cloned())).collect();
+        let ext = Arc::new(ext);
+        let mut deep = Lexicon::extending(&ext);
+        let deep_pairs: Vec<Vec<(u32, u32)>> = deep_docs.iter().map(|d| deep.count_in(d.iter().cloned())).collect();
+        let deep = Arc::new(deep);
+        let levels = [
+            (&root, &root_pairs[..]),
+            (&ext, &ext_pairs[..]),
+            (&deep, &deep_pairs[..]),
+        ];
+        for depth in 0..levels.len() {
+            let lexicon = levels[depth].0;
+            let mut builder = VocabBuilder::new(Arc::clone(lexicon));
+            // term → (total, df), counted by string.
+            let mut stats: std::collections::BTreeMap<String, (u64, u32)> = Default::default();
+            for &(doc_lexicon, docs) in &levels[..=depth] {
+                for pairs in docs {
+                    let counts = TermCounts::new(doc_lexicon, pairs);
+                    builder.add_doc(counts);
+                    for (term, c) in counts.terms() {
+                        let entry = stats.entry(term.to_string()).or_insert((0, 0));
+                        entry.0 += u64::from(c);
+                        entry.1 += 1;
+                    }
+                }
+            }
+            let mut want: Vec<(String, (u64, u32))> = stats.into_iter().collect();
+            want.sort_by(|a, b| b.1 .0.cmp(&a.1 .0).then_with(|| a.0.cmp(&b.0)));
+            for n in [cut, want.len(), want.len().saturating_sub(1), want.len() + 1] {
+                let vocab = builder.select_top(n);
+                let got: Vec<(String, u32)> =
+                    vocab.iter().map(|(t, i)| (t.to_string(), vocab.doc_freq(i))).collect();
+                let kept: Vec<(String, u32)> =
+                    want.iter().take(n).map(|(t, (_, df))| (t.clone(), *df)).collect();
+                prop_assert_eq!(&got, &kept);
+            }
+        }
     }
 
     /// Pipeline vectors are unit-norm and vectorization is deterministic.

@@ -13,7 +13,6 @@
 //! the decision "English / not English" — the only decision the pipeline
 //! needs — is reliable for messages of ten or more words.
 
-use std::collections::HashMap;
 use std::fmt;
 
 /// Languages with built-in profiles.
@@ -84,71 +83,68 @@ const PROFILE_SIZE: usize = 400;
 /// Out-of-place penalty for n-grams absent from the language profile.
 const MISSING_PENALTY: usize = PROFILE_SIZE;
 
-/// A ranked n-gram profile: n-gram → rank (0 = most frequent).
-#[derive(Debug, Clone)]
-struct Profile {
-    ranks: HashMap<String, usize>,
+/// A 1–3-gram packed into an integer: one 21-bit field per char holding
+/// the char plus one, first char highest, zero where a shorter gram has
+/// no char. Grams order as their strings do — strings compare char by
+/// char (UTF-8 keeps code point order), and a missing char sorts before
+/// every char — so a profile ranks grams as it would rank the strings.
+type Gram = u64;
+
+fn pack(chars: &[char]) -> Gram {
+    chars
+        .iter()
+        .zip([42, 21, 0])
+        .fold(0, |key, (&c, shift)| key | (u64::from(c) + 1) << shift)
 }
 
-impl Profile {
-    fn from_text(text: &str) -> Profile {
-        let counts = ngram_counts(text);
-        let mut items: Vec<(String, u32)> = counts.into_iter().collect();
-        // Sort by count desc, then lexicographically for determinism.
-        items.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        items.truncate(PROFILE_SIZE);
-        let ranks = items
-            .into_iter()
-            .enumerate()
-            .map(|(rank, (gram, _))| (gram, rank))
-            .collect();
-        Profile { ranks }
-    }
-
-    /// Cavnar–Trenkle out-of-place distance, normalized per n-gram.
-    fn distance(&self, other: &Profile) -> f64 {
-        if other.ranks.is_empty() {
-            return MISSING_PENALTY as f64;
-        }
-        let mut total = 0usize;
-        for (gram, &rank) in &other.ranks {
-            total += match self.ranks.get(gram) {
-                Some(&r) => r.abs_diff(rank),
-                None => MISSING_PENALTY,
-            };
-        }
-        total as f64 / other.ranks.len() as f64
-    }
-}
-
-/// Extracts 1–3-gram counts over the letters of `text`, with `_` marking
-/// word boundaries (so `_th` and `he_` carry positional signal).
-fn ngram_counts(text: &str) -> HashMap<String, u32> {
-    let mut counts: HashMap<String, u32> = HashMap::new();
+/// The 1–3-gram counts over the letters of `text`, sorted by gram, with
+/// `_` marking word boundaries (so `_th` and `he_` carry positional
+/// signal). Counted by sorting every occurrence and run-length encoding
+/// the sorted list.
+fn ngram_counts(text: &str) -> Vec<(Gram, u32)> {
+    let mut grams: Vec<Gram> = Vec::new();
+    let mut padded: Vec<char> = Vec::new();
     for word in text.split(|c: char| !c.is_alphabetic()) {
         if word.is_empty() {
             continue;
         }
-        let padded: Vec<char> = std::iter::once('_')
-            .chain(word.chars().flat_map(|c| c.to_lowercase()))
-            .chain(std::iter::once('_'))
-            .collect();
+        padded.clear();
+        padded.push('_');
+        padded.extend(word.chars().flat_map(|c| c.to_lowercase()));
+        padded.push('_');
         for n in 1..=3usize {
-            if padded.len() < n {
-                continue;
-            }
             for window in padded.windows(n) {
                 // Skip pure-boundary grams.
                 if window.iter().all(|&c| c == '_') {
                     continue;
                 }
-                let gram: String = window.iter().collect();
-                *counts.entry(gram).or_insert(0) += 1;
+                grams.push(pack(window));
             }
+        }
+    }
+    grams.sort_unstable();
+    let mut counts: Vec<(Gram, u32)> = Vec::new();
+    for gram in grams {
+        match counts.last_mut() {
+            Some((last, count)) if *last == gram => *count += 1,
+            _ => counts.push((gram, 1)),
         }
     }
     counts
 }
+
+/// The ranked profile of `text`: its `PROFILE_SIZE` most frequent grams,
+/// most frequent first, ties in gram order (rank = position).
+fn ranked_grams(text: &str) -> Vec<Gram> {
+    let mut counts = ngram_counts(text);
+    // Grams are distinct, so the unstable sort is deterministic.
+    counts.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    counts.truncate(PROFILE_SIZE);
+    counts.into_iter().map(|(gram, _)| gram).collect()
+}
+
+/// Rank of a gram absent from a language's profile.
+const ABSENT: u16 = u16::MAX;
 
 /// The result of a detection: the winning language and a confidence score.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -172,30 +168,58 @@ pub struct Detection {
 /// ```
 #[derive(Debug, Clone)]
 pub struct LanguageDetector {
-    profiles: Vec<(Lang, Profile)>,
+    /// Every gram of any language profile, sorted, with its rank in each
+    /// language of [`Lang::ALL`] (`ABSENT` where the language lacks it).
+    ranks: Vec<(Gram, [u16; Lang::ALL.len()])>,
 }
 
 impl LanguageDetector {
     /// Builds the detector from the embedded seed corpora.
     pub fn new() -> LanguageDetector {
-        let profiles = Lang::ALL
-            .iter()
-            .map(|&lang| (lang, Profile::from_text(lang.seed())))
-            .collect();
-        LanguageDetector { profiles }
+        let mut ranks: Vec<(Gram, [u16; Lang::ALL.len()])> = Vec::new();
+        for (l, lang) in Lang::ALL.iter().enumerate() {
+            for (rank, gram) in ranked_grams(lang.seed()).into_iter().enumerate() {
+                let at = match ranks.binary_search_by_key(&gram, |&(g, _)| g) {
+                    Ok(at) => at,
+                    Err(at) => {
+                        ranks.insert(at, (gram, [ABSENT; Lang::ALL.len()]));
+                        at
+                    }
+                };
+                ranks[at].1[l] = rank as u16;
+            }
+        }
+        LanguageDetector { ranks }
     }
 
     /// Detects the language of `text`. Returns `None` when the text has no
     /// alphabetic content to classify.
+    ///
+    /// Scores each language by the Cavnar–Trenkle out-of-place distance
+    /// between the text's ranked profile and the language's, normalized
+    /// per n-gram of the text.
     pub fn detect(&self, text: &str) -> Option<Detection> {
-        let profile = Profile::from_text(text);
-        if profile.ranks.is_empty() {
+        let grams = ranked_grams(text);
+        if grams.is_empty() {
             return None;
         }
-        let mut scored: Vec<(Lang, f64)> = self
-            .profiles
+        let mut totals = [0usize; Lang::ALL.len()];
+        for (rank, gram) in grams.iter().enumerate() {
+            let per_lang = self
+                .ranks
+                .binary_search_by_key(gram, |&(g, _)| g)
+                .map_or([ABSENT; Lang::ALL.len()], |at| self.ranks[at].1);
+            for (total, lang_rank) in totals.iter_mut().zip(per_lang) {
+                *total += match lang_rank {
+                    ABSENT => MISSING_PENALTY,
+                    r => usize::from(r).abs_diff(rank),
+                };
+            }
+        }
+        let mut scored: Vec<(Lang, f64)> = Lang::ALL
             .iter()
-            .map(|(lang, lp)| (*lang, lp.distance(&profile)))
+            .zip(totals)
+            .map(|(&lang, total)| (lang, total as f64 / grams.len() as f64))
             .collect();
         scored.sort_by(|a, b| darklight_order::cmp_f64_asc(a.1, b.1));
         let (best, best_d) = scored[0];
@@ -326,9 +350,220 @@ mod tests {
 
     #[test]
     fn profile_deterministic() {
-        let a = Profile::from_text("some repeated text some repeated text");
-        let b = Profile::from_text("some repeated text some repeated text");
-        assert_eq!(a.ranks, b.ranks);
+        let a = ranked_grams("some repeated text some repeated text");
+        let b = ranked_grams("some repeated text some repeated text");
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn packed_grams_order_like_strings() {
+        let grams = [
+            "_",
+            "a",
+            "a_",
+            "ab",
+            "abc",
+            "b",
+            "é",
+            "éa",
+            "日",
+            "日本",
+            "🙂",
+            "🙂🙂_",
+        ];
+        for a in grams {
+            for b in grams {
+                let (pa, pb) = (pack(&chars(a)), pack(&chars(b)));
+                assert_eq!(pa.cmp(&pb), a.cmp(b), "{a:?} vs {b:?}");
+            }
+        }
+    }
+
+    fn chars(s: &str) -> Vec<char> {
+        s.chars().collect()
+    }
+
+    /// The detector as it stood before grams were packed: string grams
+    /// counted in a hash map, one rank map per language, each scored
+    /// separately.
+    mod reference {
+        use super::super::{Detection, Lang, MISSING_PENALTY, PROFILE_SIZE};
+        use std::collections::HashMap;
+
+        pub(super) struct Profile {
+            ranks: HashMap<String, usize>,
+        }
+
+        impl Profile {
+            pub(super) fn from_text(text: &str) -> Profile {
+                let mut items: Vec<(String, u32)> = ngram_counts(text).into_iter().collect();
+                items.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+                items.truncate(PROFILE_SIZE);
+                let ranks = items
+                    .into_iter()
+                    .enumerate()
+                    .map(|(rank, (gram, _))| (gram, rank))
+                    .collect();
+                Profile { ranks }
+            }
+
+            fn distance(&self, other: &Profile) -> f64 {
+                if other.ranks.is_empty() {
+                    return MISSING_PENALTY as f64;
+                }
+                let mut total = 0usize;
+                for (gram, &rank) in &other.ranks {
+                    total += match self.ranks.get(gram) {
+                        Some(&r) => r.abs_diff(rank),
+                        None => MISSING_PENALTY,
+                    };
+                }
+                total as f64 / other.ranks.len() as f64
+            }
+        }
+
+        fn ngram_counts(text: &str) -> HashMap<String, u32> {
+            let mut counts: HashMap<String, u32> = HashMap::new();
+            for word in text.split(|c: char| !c.is_alphabetic()) {
+                if word.is_empty() {
+                    continue;
+                }
+                let padded: Vec<char> = std::iter::once('_')
+                    .chain(word.chars().flat_map(|c| c.to_lowercase()))
+                    .chain(std::iter::once('_'))
+                    .collect();
+                for n in 1..=3usize {
+                    if padded.len() < n {
+                        continue;
+                    }
+                    for window in padded.windows(n) {
+                        if window.iter().all(|&c| c == '_') {
+                            continue;
+                        }
+                        let gram: String = window.iter().collect();
+                        *counts.entry(gram).or_insert(0) += 1;
+                    }
+                }
+            }
+            counts
+        }
+
+        pub(super) fn profiles() -> Vec<(Lang, Profile)> {
+            Lang::ALL
+                .iter()
+                .map(|&lang| (lang, Profile::from_text(lang.seed())))
+                .collect()
+        }
+
+        pub(super) fn detect(profiles: &[(Lang, Profile)], text: &str) -> Option<Detection> {
+            let profile = Profile::from_text(text);
+            if profile.ranks.is_empty() {
+                return None;
+            }
+            let mut scored: Vec<(Lang, f64)> = profiles
+                .iter()
+                .map(|(lang, lp)| (*lang, lp.distance(&profile)))
+                .collect();
+            scored.sort_by(|a, b| darklight_order::cmp_f64_asc(a.1, b.1));
+            let (best, best_d) = scored[0];
+            let (_, second_d) = scored[1];
+            let confidence = if second_d > 0.0 {
+                ((second_d - best_d) / second_d).clamp(0.0, 1.0)
+            } else {
+                0.0
+            };
+            Some(Detection {
+                lang: best,
+                confidence,
+            })
+        }
+    }
+
+    /// Messages mixing words of every seed language with multibyte,
+    /// case-folding, combining, non-Latin and non-letter tokens, joined
+    /// by assorted separators (a fixed linear congruential generator).
+    fn multilingual_corpus(n: usize) -> Vec<String> {
+        let mut words: Vec<&str> = Lang::ALL
+            .iter()
+            .flat_map(|lang| lang.seed().split_whitespace())
+            .collect();
+        words.extend([
+            "İSTANBUL",
+            "ǅemal",
+            "STRASSE",
+            "ß",
+            "ﬁnance",
+            "ΣΊΣΥΦΟΣ",
+            "東京都",
+            "مرحبا",
+            "e\u{301}té",
+            "🙂🙂",
+            "x",
+            "ABC123def",
+            "_under_",
+            "Ωmega",
+            "ДОМ",
+            "naïve",
+            "",
+        ]);
+        let separators = [" ", " ", " ", ", ", ". ", "-", "'", "\n", " 42 ", "!!"];
+        let mut state: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mut next = |bound: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as usize % bound
+        };
+        (0..n)
+            .map(|_| {
+                let len = 1 + next(40);
+                let mut text = String::new();
+                for _ in 0..len {
+                    text.push_str(words[next(words.len())]);
+                    text.push_str(separators[next(separators.len())]);
+                }
+                text
+            })
+            .collect()
+    }
+
+    /// The packed detector agrees with the string-keyed one bit for bit,
+    /// language and confidence, on the seeds, every sample sentence of
+    /// this module and a generated multilingual corpus.
+    #[test]
+    fn detect_matches_the_string_keyed_reference() {
+        let d = det();
+        let profiles = reference::profiles();
+        let mut texts: Vec<String> = Lang::ALL.iter().map(|l| l.seed().to_string()).collect();
+        texts.extend(
+            [
+                "the quick brown fox jumps over the lazy dog and runs away",
+                "I think this is definitely written in the english language",
+                "I really enjoyed the package, shipping was fast and the quality is great, will order again from this vendor soon",
+                "does anyone know whether the market is down again today or is it just my connection acting up once more",
+                "we went to the mountains last weekend and the views were absolutely beautiful even though it rained",
+                "me gustaría saber si alguien puede ayudarme con este problema porque no encuentro ninguna solución",
+                "ich habe gestern ein neues buch gekauft und möchte es am wochenende in ruhe lesen",
+                "je ne sais pas encore si je vais venir demain parce que j'ai beaucoup de travail cette semaine",
+                "я вчера купил новую книгу и хочу спокойно почитать её на выходных дома",
+                "",
+                "12345 !!! ???",
+                "###",
+                "привет как дела сегодня",
+                "this is what happens when you leave the door open",
+                "some repeated text some repeated text",
+            ]
+            .map(String::from),
+        );
+        texts.extend(multilingual_corpus(3_000));
+        for text in &texts {
+            let (got, want) = (d.detect(text), reference::detect(&profiles, text));
+            assert_eq!(
+                got.map(|x| (x.lang, x.confidence.to_bits())),
+                want.map(|x| (x.lang, x.confidence.to_bits())),
+                "{text:?}"
+            );
+        }
     }
 
     #[test]
