@@ -12,11 +12,11 @@
 //! [`LAYERS`] pins the workspace's dependency order. It is derived
 //! from the crate manifests, not aspiration: a crate at layer *L* may
 //! only reference `darklight_*` crates at layers strictly below *L*.
-//! `par` sits *above* `govern` (the pool polls deadlines and reports
-//! through govern's fault hooks), and `synth` sits beside `core` (both
-//! consume corpus but neither sees the other). Adding a crate means
-//! adding a row here — an unknown `darklight_*` name is itself a
-//! `crate-layering` finding, so the table can never silently rot.
+//! `par` sits *above* `govern` (the pool polls govern's deadlines), and
+//! `synth` sits beside `core` (both consume corpus but neither sees the
+//! other). Adding a crate means adding a row here — an unknown
+//! `darklight_*` name is itself a `crate-layering` finding, so the table
+//! can never silently rot.
 
 use std::collections::{BTreeMap, BTreeSet};
 

@@ -182,9 +182,13 @@ impl Rule for NoAmbientTimeOrRand {
 /// `fingerprint` in its name must use `BTreeMap`/`BTreeSet` or sort.
 struct DeterministicIteration;
 
-/// Files whose entire contents feed persisted, order-sensitive bytes.
-const FINGERPRINT_FILES: &[&str] = &[
-    "crates/core/src/checkpoint.rs",
+/// Files whose entire contents feed persisted, order-sensitive bytes:
+/// the batch checkpoint codec and run fingerprint, the fingerprint
+/// hasher, and the metrics snapshot writer. Paths are workspace-relative;
+/// the self-check test asserts each one exists.
+pub const FINGERPRINT_FILES: &[&str] = &[
+    "crates/core/src/batch.rs",
+    "crates/store/src/fnv.rs",
     "crates/obs/src/json.rs",
     "crates/obs/src/registry.rs",
 ];
@@ -393,8 +397,16 @@ mod tests {
     fn iteration_rule_fires_in_fingerprint_fns_and_designated_files() {
         let in_fn = "fn run_fingerprint() { let m: HashMap<u32, u32> = HashMap::new(); }\n\
                      fn other() { let s: HashSet<u32> = HashSet::new(); }";
-        let hits = findings_for("crates/core/src/batch.rs", in_fn, "deterministic-iteration");
+        let hits = findings_for(
+            "crates/core/src/artifact.rs",
+            in_fn,
+            "deterministic-iteration",
+        );
         assert_eq!(hits.len(), 2, "both HashMap uses inside the fingerprint fn");
+        // `batch.rs` holds the checkpoint codec: the whole file is
+        // designated, so the HashSet outside the fingerprint fn fires too.
+        let hits = findings_for("crates/core/src/batch.rs", in_fn, "deterministic-iteration");
+        assert_eq!(hits.len(), 4);
         let anywhere = "fn any() { let m: HashMap<u32, u32> = Default::default(); let _ = m; }";
         assert_eq!(
             findings_for(

@@ -30,6 +30,19 @@ fn workspace_tree_is_clean() {
 }
 
 #[test]
+fn every_fingerprint_file_exists() {
+    // A listed path that no longer exists silently drops the
+    // deterministic-iteration rule's whole-file coverage of its code.
+    let root = workspace_root();
+    for rel in darklight_audit::rules::FINGERPRINT_FILES {
+        assert!(
+            root.join(rel).is_file(),
+            "FINGERPRINT_FILES lists missing {rel}"
+        );
+    }
+}
+
+#[test]
 fn every_tree_suppression_carries_a_reason() {
     // bad-suppression findings are never suppressible, so a clean tree
     // already implies this; assert it directly for a sharper message.

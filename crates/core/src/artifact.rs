@@ -29,7 +29,7 @@
 //!
 //! The container layer already rejects torn, truncated, or bit-flipped
 //! files via per-section CRCs. On top of that, the artifact stores a
-//! [FNV-1a](crate::checkpoint::Fnv1a) fingerprint of the fitted state
+//! [FNV-1a](darklight_store::Fnv1a) fingerprint of the fitted state
 //! (schema version, reduction config, dataset contents, vector bits);
 //! decode recomputes it from what was actually reconstructed and fails
 //! with [`StoreError::FingerprintMismatch`] on any disagreement —
@@ -39,21 +39,18 @@
 use darklight_activity::profile::{DailyActivityProfile, HOURS};
 use darklight_corpus::model::{Fact, FactKind};
 use darklight_features::lexicon::Lexicon;
-use darklight_features::pipeline::{
-    CountedDoc, FeatureConfig, FeatureExtractor, FeatureSpace, PreparedDoc,
-};
+use darklight_features::pipeline::{CountedDoc, FeatureConfig, FeatureSpace, PreparedDoc};
 use darklight_features::sparse::SparseVector;
 use darklight_features::vocab::Vocabulary;
 use darklight_store::codec::{Reader, Writer};
-use darklight_store::{Container, EpochStore, StoreError};
+use darklight_store::{Container, EpochStore, Fnv1a, StoreError};
 use darklight_text::lemma::Lemmatizer;
 use std::sync::Arc;
 
 use crate::attrib::CandidateIndex;
 use crate::batch::{hash_dataset, hash_feature_config};
-use crate::checkpoint::Fnv1a;
 use crate::dataset::{Dataset, Record};
-use crate::twostage::TwoStageConfig;
+use crate::twostage::{DocView, TwoStage, TwoStageConfig};
 
 /// Version of the artifact *schema* (what the sections mean), separate
 /// from the container *format* version (how bytes are framed).
@@ -81,22 +78,17 @@ pub struct FitArtifact {
 }
 
 impl FitArtifact {
-    /// Runs the stage-1 fit the artifact captures: fit the reduction
-    /// space on the known records (map-reduce over `threads` workers —
-    /// identical to a serial fit for every count) and vectorize them in
-    /// it. This is exactly what `TwoStage::reduce` computes before
-    /// ranking, so serving from the artifact reproduces its candidates
-    /// byte-for-byte.
+    /// Runs the stage-1 fit the artifact captures: the reduction space
+    /// fitted on the known records, their vectors in it, and the index
+    /// over those. It is the very routine `TwoStage::reduce` fits with
+    /// before ranking — injected vectorization faults included — so
+    /// serving from the artifact reproduces its candidates byte-for-byte.
     pub fn fit(config: &TwoStageConfig, known: Dataset) -> FitArtifact {
-        let threads = config.effective_threads();
-        let space = FeatureExtractor::new(config.reduction.clone())
-            .with_metrics(config.metrics.clone())
-            .with_threads(threads)
-            .fit_counted(known.records.iter().map(|r| &r.counted));
-        let known_vecs = darklight_par::par_map(&known.records, threads, |_, r| {
-            space.vectorize_counted(&r.counted, r.profile.as_ref())
-        });
-        let index = CandidateIndex::build_with_metrics(&known_vecs, space.dim(), &config.metrics);
+        let (space, known_vecs, index) = TwoStage::new(config.clone()).fit_known(
+            &config.reduction,
+            &DocView::all(&known),
+            config.effective_threads(),
+        );
         FitArtifact {
             known,
             space,
@@ -468,7 +460,6 @@ fn decode_vectors(bytes: &[u8]) -> Result<Vec<SparseVector>, StoreError> {
 mod tests {
     use super::*;
     use crate::dataset::DatasetBuilder;
-    use crate::twostage::TwoStage;
     use darklight_corpus::model::{Corpus, Post, User};
 
     fn known_corpus() -> Corpus {

@@ -9,10 +9,15 @@
 //!
 //! Long batched runs are exactly the ones that get killed mid-flight, so
 //! [`run_batched_checkpointed`] persists the survivor pools after every
-//! round (see [`crate::checkpoint`]) and resumes from the last completed
-//! round. Resumption is refused when the run fingerprint — config plus
-//! dataset contents — does not match the checkpoint, because stale pools
-//! against a changed corpus would rank confidently and wrongly.
+//! round and resumes from the last completed round. A checkpoint is a
+//! `darklight-store` container — the format fit artifacts use — holding
+//! the run fingerprint in its CRC-checked header and one section with
+//! the schema version, the rounds completed and every unknown's pool. A
+//! torn, truncated or bit-flipped checkpoint therefore fails its CRC and
+//! is refused with a typed error, never resumed. Resumption is refused,
+//! too, when the run fingerprint — config plus dataset contents — does
+//! not match the checkpoint, because stale pools against a changed
+//! corpus would rank confidently and wrongly.
 //!
 //! ## Resource governance
 //!
@@ -36,16 +41,20 @@
 //!   the last completed round's checkpoint intact on disk. The final
 //!   rescore, once reached, always runs to completion.
 //! * **Retries** — checkpoint saves/loads go through the governor's
-//!   jittered-backoff retry, seeded by the run fingerprint.
+//!   jittered-backoff retry, seeded by the run fingerprint; only I/O
+//!   errors retry, corruption never does.
 
 use crate::attrib::Ranked;
-use crate::checkpoint::{self, Checkpoint, CheckpointError, Fnv1a};
 use crate::dataset::Dataset;
 use crate::twostage::{DocView, RankedMatch, TwoStage};
 use darklight_features::pipeline::CountedDoc;
-use darklight_govern::{Deadline, EstimateBytes, Expired, GovernError, MemoryBudget};
+use darklight_govern::{
+    fault, with_retry, Deadline, EstimateBytes, Expired, GovernError, MemoryBudget,
+};
+use darklight_store::codec::{Reader, Writer};
+use darklight_store::{read_container, write_container, Container, Fnv1a, StoreError, WriteSites};
 use std::fmt;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Batched attribution configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -156,14 +165,15 @@ pub fn budget_per_candidate_bytes(known: &Dataset) -> u64 {
 pub enum BatchError {
     /// The [`BatchConfig`] fails [`BatchConfig::validate`].
     InvalidConfig(String),
-    /// Loading or saving the checkpoint failed, or the checkpoint belongs
-    /// to a different run.
-    Checkpoint(CheckpointError),
-    /// The run stopped after [`CheckpointSpec::interrupt_after_rounds`]
-    /// rounds; the checkpoint on disk holds the state reached so far.
-    Interrupted {
-        /// Total rounds completed (including any resumed ones).
-        rounds_done: u64,
+    /// The checkpoint could not be read or written, is not an intact
+    /// checkpoint (failed CRC, truncated, foreign format), or belongs to
+    /// a different run ([`StoreError::FingerprintMismatch`]: the config
+    /// or corpus changed since it was written).
+    Checkpoint {
+        /// The checkpoint file.
+        path: PathBuf,
+        /// What went wrong with it.
+        error: StoreError,
     },
     /// The resource governor stopped the run (deadline expired, budget
     /// infeasible); checkpointed progress, if any, remains on disk.
@@ -174,11 +184,14 @@ impl fmt::Display for BatchError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             BatchError::InvalidConfig(why) => write!(f, "invalid batch config: {why}"),
-            BatchError::Checkpoint(e) => write!(f, "{e}"),
-            BatchError::Interrupted { rounds_done } => {
+            BatchError::Checkpoint { path, error } => {
+                write!(f, "checkpoint {}: {error}", path.display())?;
+                if matches!(error, StoreError::FingerprintMismatch { .. }) {
+                    write!(f, " (the config or corpus changed since it was written)")?;
+                }
                 write!(
                     f,
-                    "interrupted after {rounds_done} rounds (checkpoint saved)"
+                    "; delete it (or point --checkpoint elsewhere) to start fresh"
                 )
             }
             BatchError::Govern(e) => write!(f, "{e}"),
@@ -189,16 +202,10 @@ impl fmt::Display for BatchError {
 impl std::error::Error for BatchError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            BatchError::Checkpoint(e) => Some(e),
+            BatchError::Checkpoint { error, .. } => Some(error),
             BatchError::Govern(e) => Some(e),
-            _ => None,
+            BatchError::InvalidConfig(_) => None,
         }
-    }
-}
-
-impl From<CheckpointError> for BatchError {
-    fn from(e: CheckpointError) -> BatchError {
-        BatchError::Checkpoint(e)
     }
 }
 
@@ -208,26 +215,122 @@ impl From<GovernError> for BatchError {
     }
 }
 
-/// Where (and whether) a checkpointed run persists its state.
+/// Where a checkpointed run persists its state.
 #[derive(Debug, Clone)]
 pub struct CheckpointSpec {
     /// Checkpoint file; written after every round, removed on success.
+    /// Its `.tmp` sibling is the in-flight write.
     pub path: PathBuf,
-    /// Fault-injection hook: stop with [`BatchError::Interrupted`] after
-    /// this many rounds *in this process* (the round's checkpoint is
-    /// saved first). Simulates a kill mid-run for resume tests; `None`
-    /// in production.
-    pub interrupt_after_rounds: Option<u64>,
 }
 
 impl CheckpointSpec {
-    /// A production spec: checkpoint at `path`, never self-interrupt.
+    /// A spec checkpointing at `path`.
     pub fn new(path: impl Into<PathBuf>) -> CheckpointSpec {
-        CheckpointSpec {
-            path: path.into(),
-            interrupt_after_rounds: None,
+        CheckpointSpec { path: path.into() }
+    }
+
+    fn error(&self, error: StoreError) -> BatchError {
+        BatchError::Checkpoint {
+            path: self.path.clone(),
+            error,
         }
     }
+}
+
+/// Schema version of the checkpoint section — what its bytes mean; the
+/// container frames them with its own format version. Hashed into the
+/// run fingerprint.
+const CHECKPOINT_VERSION: u32 = 1;
+
+/// The checkpoint container's one section.
+const SEC_POOLS: &str = "pools";
+
+/// A checkpoint write consults `DARKLIGHT_FAULT_IO` at `checkpoint.save`
+/// only; its loads consult `checkpoint.load`.
+const SAVE_SITES: WriteSites = WriteSites {
+    write: "checkpoint.save",
+    rename: None,
+};
+
+/// The inter-round state as a container: the run fingerprint in the
+/// header, then the schema version, the rounds completed and each
+/// unknown's surviving known indices.
+fn encode_checkpoint(fingerprint: u64, rounds_done: u64, pools: &[Vec<usize>]) -> Container {
+    let mut w = Writer::new();
+    w.put_u32(CHECKPOINT_VERSION);
+    w.put_u64(rounds_done);
+    w.put_u64(pools.len() as u64);
+    for pool in pools {
+        w.put_u64(pool.len() as u64);
+        for &i in pool {
+            w.put_u64(i as u64);
+        }
+    }
+    let mut c = Container::new(fingerprint);
+    c.push_section(SEC_POOLS, w.into_bytes());
+    c
+}
+
+/// The pools and rounds of a checkpoint written by this run: its
+/// fingerprint must be `fingerprint`, and its pools must fit the
+/// datasets (one per unknown, each index inside the known set).
+fn decode_checkpoint(
+    c: &Container,
+    fingerprint: u64,
+    known: &Dataset,
+    unknown: &Dataset,
+) -> Result<(Vec<Vec<usize>>, u64), StoreError> {
+    if c.fingerprint != fingerprint {
+        return Err(StoreError::FingerprintMismatch {
+            expected: fingerprint,
+            found: c.fingerprint,
+        });
+    }
+    let mut r = Reader::new(c.section(SEC_POOLS)?);
+    let version = r.get_u32()?;
+    if version != CHECKPOINT_VERSION {
+        return Err(StoreError::VersionMismatch {
+            expected: CHECKPOINT_VERSION,
+            found: version,
+        });
+    }
+    let rounds_done = r.get_u64()?;
+    let mut pools = Vec::new();
+    for _ in 0..r.get_count(8)? {
+        let len = r.get_count(8)?;
+        let pool = (0..len).map(|_| {
+            r.get_u64()
+                .map(|i| usize::try_from(i).unwrap_or(usize::MAX))
+        });
+        pools.push(pool.collect::<Result<Vec<usize>, _>>()?);
+    }
+    r.expect_end()?;
+    if pools.len() != unknown.len() || pools.iter().flatten().any(|&i| i >= known.len()) {
+        return Err(StoreError::Malformed(format!(
+            "pools do not fit the datasets ({} pools for {} unknowns of {} known)",
+            pools.len(),
+            unknown.len(),
+            known.len()
+        )));
+    }
+    Ok((pools, rounds_done))
+}
+
+/// Reads the checkpoint at `path`; `Ok(None)` when there is none (a
+/// fresh run, not an error).
+fn load_checkpoint(path: &Path) -> Result<Option<Container>, StoreError> {
+    fault::maybe_fail_io("checkpoint.load")?;
+    match read_container(path) {
+        Err(StoreError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        other => other.map(Some),
+    }
+}
+
+/// Whether a checkpoint error is worth retrying: I/O failures are
+/// (possibly a transient outage); corruption and fingerprint mismatches
+/// are not (retrying re-reads the same bad bytes).
+fn is_transient(e: &StoreError) -> bool {
+    matches!(e, StoreError::Io(_))
 }
 
 /// Runs the hierarchical batched pipeline: batched k-attribution rounds
@@ -259,10 +362,9 @@ pub fn run_batched(
 ///
 /// Returns [`BatchError::InvalidConfig`] on a bad config;
 /// [`BatchError::Checkpoint`] when the checkpoint cannot be read or
-/// written, or when its fingerprint does not match this run (config or
-/// corpus changed — delete the file to start fresh);
-/// [`BatchError::Interrupted`] when the test-only interrupt hook fires;
-/// and [`BatchError::Govern`] when the engine's governor stops the run.
+/// written, is corrupt, or was written by a different run (config or
+/// corpus changed — delete the file to start fresh); and
+/// [`BatchError::Govern`] when the engine's governor stops the run.
 pub fn run_batched_checkpointed(
     engine: &TwoStage,
     config: &BatchConfig,
@@ -313,36 +415,27 @@ pub fn run_batched_governed(
             if stale.exists() && std::fs::remove_file(&stale).is_ok() {
                 metrics.counter("govern.tmp_cleaned").incr();
             }
-            match checkpoint::load_retrying(&spec.path, &govern.retry, *fingerprint, metrics)? {
-                Some(ck) => {
-                    if ck.fingerprint != *fingerprint {
-                        return Err(BatchError::Checkpoint(
-                            CheckpointError::FingerprintMismatch {
-                                expected: *fingerprint,
-                                found: ck.fingerprint,
-                            },
-                        ));
-                    }
-                    if ck.survivors.len() != unknown.len()
-                        || ck.survivors.iter().flatten().any(|&i| i >= known.len())
-                    {
-                        return Err(BatchError::Checkpoint(CheckpointError::Malformed(format!(
-                            "checkpoint pools do not fit the datasets ({} pools for {} unknowns)",
-                            ck.survivors.len(),
-                            unknown.len()
-                        ))));
-                    }
+            let loaded = with_retry(
+                "checkpoint.load",
+                &govern.retry,
+                *fingerprint,
+                metrics,
+                is_transient,
+                || load_checkpoint(&spec.path),
+            )
+            .map_err(|e| spec.error(e))?;
+            match loaded {
+                Some(c) => {
+                    let (pools, done) = decode_checkpoint(&c, *fingerprint, known, unknown)
+                        .map_err(|e| spec.error(e))?;
                     metrics.counter("batch.resumed").incr();
-                    metrics
-                        .gauge("batch.resumed_round")
-                        .set(ck.rounds_done as i64);
-                    (ck.survivors, ck.rounds_done)
+                    metrics.gauge("batch.resumed_round").set(done as i64);
+                    (pools, done)
                 }
                 None => (fresh_pools(known, unknown), 0),
             }
         }
     };
-    let resumed_at = rounds_done;
     let out = run_rounds(
         engine,
         config,
@@ -354,27 +447,20 @@ pub fn run_batched_governed(
             let Some((spec, fingerprint)) = &ctx else {
                 return Ok(());
             };
-            checkpoint::save_retrying(
-                &spec.path,
-                &Checkpoint {
-                    fingerprint: *fingerprint,
-                    rounds_done: done,
-                    survivors: pools.to_vec(),
-                },
+            let checkpoint = encode_checkpoint(*fingerprint, done, pools);
+            with_retry(
+                "checkpoint.save",
                 &govern.retry,
                 *fingerprint,
                 metrics,
-            )?;
-            if let Some(limit) = spec.interrupt_after_rounds {
-                if done - resumed_at >= limit {
-                    return Err(BatchError::Interrupted { rounds_done: done });
-                }
-            }
-            Ok(())
+                is_transient,
+                || write_container(&spec.path, &checkpoint, SAVE_SITES),
+            )
+            .map_err(|e| spec.error(e))
         },
     )?;
     if let Some((spec, _)) = &ctx {
-        checkpoint::remove(&spec.path);
+        let _ = std::fs::remove_file(&spec.path);
     }
     Ok(out)
 }
@@ -394,7 +480,7 @@ pub fn run_fingerprint(
     unknown: &Dataset,
 ) -> u64 {
     let mut h = Fnv1a::new();
-    h.write_u64(checkpoint::CHECKPOINT_VERSION);
+    h.write_u64(u64::from(CHECKPOINT_VERSION));
     h.write_u64(config.batch_size as u64);
     let ec = engine.config();
     h.write_u64(ec.k as u64);
@@ -762,10 +848,36 @@ mod tests {
         })
     }
 
+    /// A fresh checkpoint path: no file there yet.
     fn ckpt_path(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("darklight_batch_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
+        let path = dir.join(name);
+        let _ = std::fs::remove_file(&path);
+        path
+    }
+
+    /// Runs `config` checkpointing at `spec` under a one-round deadline,
+    /// asserting the round the run was killed at and the checkpoint it
+    /// leaves on disk.
+    fn kill_after_round(config: &BatchConfig, spec: &CheckpointSpec, killed_at: u64) {
+        let (known, unknown) = world();
+        let e = TwoStage::new(TwoStageConfig {
+            govern: darklight_govern::GovernConfig {
+                deadline: Deadline::after_rounds(1),
+                ..darklight_govern::GovernConfig::default()
+            },
+            ..engine().config().clone()
+        });
+        let err = run_batched_checkpointed(&e, config, &known, &unknown, spec).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                BatchError::Govern(GovernError::DeadlineExpired { rounds_done }) if rounds_done == killed_at
+            ),
+            "{err}"
+        );
+        assert!(spec.path.exists(), "checkpoint persisted at the kill point");
     }
 
     #[test]
@@ -936,11 +1048,12 @@ mod tests {
 
     #[test]
     fn checkpointed_run_matches_plain_and_cleans_up() {
+        // No file at the path is a fresh run, not an error.
         let (known, unknown) = world();
         let e = engine();
         let config = BatchConfig { batch_size: 4 };
         let plain = run_batched(&e, &config, &known, &unknown).unwrap();
-        let spec = CheckpointSpec::new(ckpt_path("clean_run.json"));
+        let spec = CheckpointSpec::new(ckpt_path("clean_run.ckpt"));
         let ck = run_batched_checkpointed(&e, &config, &known, &unknown, &spec).unwrap();
         assert_eq!(plain, ck);
         assert!(!spec.path.exists(), "checkpoint removed on success");
@@ -958,8 +1071,7 @@ mod tests {
             ..TwoStageConfig::default()
         });
         let config = BatchConfig { batch_size: 4 };
-        let spec = CheckpointSpec::new(ckpt_path("stale_tmp.json"));
-        checkpoint::remove(&spec.path);
+        let spec = CheckpointSpec::new(ckpt_path("stale_tmp.ckpt"));
         let stale = spec.path.with_extension("tmp");
         std::fs::write(&stale, b"half-written garbage from a crashed save").unwrap();
         let plain = run_batched(&e, &config, &known, &unknown).unwrap();
@@ -973,21 +1085,14 @@ mod tests {
     fn interrupted_run_resumes_to_identical_output() {
         let (known, unknown) = world();
         let e = engine();
-        // batch_size 2 with k=3 stalls after one round, which still
-        // exercises save + resume; batch_size 4 gives real multi-round
-        // shrinkage. Use 4 and interrupt after the first round.
+        // batch_size 4 gives real multi-round shrinkage (12 → 9 → 7 → …),
+        // so a one-round deadline kills the run twice before it ends:
+        // the second resume starts from a checkpoint a resumed run wrote.
         let config = BatchConfig { batch_size: 4 };
         let plain = run_batched(&e, &config, &known, &unknown).unwrap();
-        let mut spec = CheckpointSpec::new(ckpt_path("kill_resume.json"));
-        checkpoint::remove(&spec.path);
-        spec.interrupt_after_rounds = Some(1);
-        let err = run_batched_checkpointed(&e, &config, &known, &unknown, &spec).unwrap_err();
-        assert!(
-            matches!(err, BatchError::Interrupted { rounds_done: 1 }),
-            "{err}"
-        );
-        assert!(spec.path.exists(), "checkpoint persisted at the kill point");
-        spec.interrupt_after_rounds = None;
+        let spec = CheckpointSpec::new(ckpt_path("kill_resume.ckpt"));
+        kill_after_round(&config, &spec, 1);
+        kill_after_round(&config, &spec, 2);
         let resumed = run_batched_checkpointed(&e, &config, &known, &unknown, &spec).unwrap();
         assert_eq!(plain, resumed, "resumed output must be identical");
         assert!(!spec.path.exists());
@@ -996,26 +1101,137 @@ mod tests {
     #[test]
     fn mismatched_fingerprint_is_refused() {
         let (known, unknown) = world();
-        let e = engine();
-        let mut spec = CheckpointSpec::new(ckpt_path("mismatch.json"));
-        checkpoint::remove(&spec.path);
-        spec.interrupt_after_rounds = Some(1);
-        let _ =
-            run_batched_checkpointed(&e, &BatchConfig { batch_size: 4 }, &known, &unknown, &spec)
-                .unwrap_err();
+        let spec = CheckpointSpec::new(ckpt_path("mismatch.ckpt"));
+        kill_after_round(&BatchConfig { batch_size: 4 }, &spec, 1);
         // Same checkpoint, different batch size: a different run.
-        spec.interrupt_after_rounds = None;
-        let err =
-            run_batched_checkpointed(&e, &BatchConfig { batch_size: 5 }, &known, &unknown, &spec)
-                .unwrap_err();
+        let err = run_batched_checkpointed(
+            &engine(),
+            &BatchConfig { batch_size: 5 },
+            &known,
+            &unknown,
+            &spec,
+        )
+        .unwrap_err();
         assert!(
             matches!(
-                err,
-                BatchError::Checkpoint(CheckpointError::FingerprintMismatch { .. })
+                &err,
+                BatchError::Checkpoint {
+                    error: StoreError::FingerprintMismatch { .. },
+                    ..
+                }
             ),
             "{err}"
         );
-        checkpoint::remove(&spec.path);
+        let msg = err.to_string();
+        assert!(
+            msg.contains("mismatch.ckpt") && msg.contains("start fresh"),
+            "{msg}"
+        );
+        std::fs::remove_file(&spec.path).unwrap();
+    }
+
+    #[test]
+    fn checkpoint_codec_round_trips_byte_for_byte() {
+        let (known, unknown) = world();
+        let pools: Vec<Vec<usize>> = (0..unknown.len())
+            .map(|u| (u % 3..known.len()).step_by(u + 1).collect())
+            .collect();
+        let bytes = encode_checkpoint(0xdead_beef, 3, &pools).to_bytes();
+        // Saving the same state twice writes the same bytes: resumes
+        // are byte-identical only if checkpoints are.
+        assert_eq!(bytes, encode_checkpoint(0xdead_beef, 3, &pools).to_bytes());
+        let c = Container::from_bytes(&bytes).unwrap();
+        assert_eq!(
+            decode_checkpoint(&c, 0xdead_beef, &known, &unknown).unwrap(),
+            (pools.clone(), 3)
+        );
+        assert!(matches!(
+            decode_checkpoint(&c, 0xdead_bee0, &known, &unknown),
+            Err(StoreError::FingerprintMismatch {
+                expected: 0xdead_bee0,
+                found: 0xdead_beef
+            })
+        ));
+        // Pools that do not fit the datasets are typed errors: one pool
+        // short, or an index past the known set.
+        let short = encode_checkpoint(1, 3, &pools[1..]);
+        let err = decode_checkpoint(&short, 1, &known, &unknown).unwrap_err();
+        assert!(err.to_string().contains("do not fit"), "{err}");
+        let mut wide = pools;
+        wide[0].push(known.len());
+        let wide = encode_checkpoint(1, 3, &wide);
+        let err = decode_checkpoint(&wide, 1, &known, &unknown).unwrap_err();
+        assert!(matches!(err, StoreError::Malformed(_)), "{err}");
+    }
+
+    /// Resuming from `bytes` must fail typed before any round runs.
+    fn assert_refused(
+        (known, unknown): &(Dataset, Dataset),
+        spec: &CheckpointSpec,
+        bytes: &[u8],
+        what: &str,
+    ) -> StoreError {
+        use darklight_obs::PipelineMetrics;
+        let metrics = PipelineMetrics::enabled();
+        let e = TwoStage::new(TwoStageConfig {
+            k: 3,
+            threads: 2,
+            metrics: metrics.clone(),
+            ..TwoStageConfig::default()
+        });
+        std::fs::write(&spec.path, bytes).unwrap();
+        let config = BatchConfig { batch_size: 4 };
+        match run_batched_checkpointed(&e, &config, known, unknown, spec) {
+            Err(BatchError::Checkpoint { path, error }) => {
+                assert_eq!(path, spec.path);
+                assert_eq!(metrics.counter("batch.resumed").get(), 0, "{what}");
+                assert_eq!(metrics.counter("batch.rounds").get(), 0, "{what}");
+                assert_eq!(metrics.counter("govern.io_retries").get(), 0, "{what}");
+                error
+            }
+            other => panic!("{what}: expected a typed checkpoint error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn corrupt_or_foreign_checkpoints_are_refused_never_resumed() {
+        let world = world();
+        let (known, unknown) = &world;
+        let config = BatchConfig { batch_size: 4 };
+        let spec = CheckpointSpec::new(ckpt_path("corrupt.ckpt"));
+        kill_after_round(&config, &spec, 1);
+        let clean = std::fs::read(&spec.path).unwrap();
+        // One flipped bit anywhere — a survivor index, a count, the
+        // fingerprint, a frame field — fails a CRC instead of resuming
+        // with quietly different pools.
+        for i in 0..clean.len() {
+            let mut bad = clean.clone();
+            bad[i] ^= 1;
+            assert_refused(&world, &spec, &bad, &format!("bit 0 of byte {i} flipped"));
+        }
+        // Every torn write, down to an empty file.
+        for keep in 0..clean.len() {
+            assert_refused(
+                &world,
+                &spec,
+                &clean[..keep],
+                &format!("truncated to {keep} bytes"),
+            );
+        }
+        // A checkpoint in the earlier JSON format is not a container.
+        let c = Container::from_bytes(&clean).unwrap();
+        let fingerprint = run_fingerprint(&engine(), &config, known, unknown);
+        let (pools, rounds_done) = decode_checkpoint(&c, fingerprint, known, unknown).unwrap();
+        let json = format!(
+            "{{\"version\": 1, \"fingerprint\": {fingerprint}, \"rounds_done\": {rounds_done}, \"survivors\": {pools:?}}}\n"
+        );
+        let error = assert_refused(&world, &spec, json.as_bytes(), "earlier JSON format");
+        assert!(matches!(error, StoreError::Malformed(_)), "{error}");
+        // The intact checkpoint still resumes to the uninterrupted bytes.
+        std::fs::write(&spec.path, &clean).unwrap();
+        let plain = run_batched(&engine(), &config, known, unknown).unwrap();
+        let resumed = run_batched_checkpointed(&engine(), &config, known, unknown, &spec).unwrap();
+        assert_eq!(plain, resumed);
     }
 
     #[test]
@@ -1099,7 +1315,7 @@ mod tests {
         // before any checkpoint I/O happens.
         let (known, unknown) = world();
         let bad = BatchConfig { batch_size: 0 };
-        let spec = CheckpointSpec::new(ckpt_path("never_written.json"));
+        let spec = CheckpointSpec::new(ckpt_path("never_written.ckpt"));
         let err = run_batched_checkpointed(&engine(), &bad, &known, &unknown, &spec).unwrap_err();
         assert!(matches!(&err, BatchError::InvalidConfig(_)), "{err}");
         assert!(!spec.path.exists(), "validation precedes checkpoint I/O");
@@ -1195,8 +1411,7 @@ mod tests {
             },
             ..TwoStageConfig::default()
         });
-        let spec = CheckpointSpec::new(ckpt_path("deadline_resume.json"));
-        checkpoint::remove(&spec.path);
+        let spec = CheckpointSpec::new(ckpt_path("deadline_resume.ckpt"));
         let err = run_batched_checkpointed(&strict, &config, &known, &unknown, &spec).unwrap_err();
         assert!(
             matches!(

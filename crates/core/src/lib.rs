@@ -21,8 +21,8 @@
 //! * [`twostage`] — the full two-stage algorithm (§IV-I);
 //! * [`baseline`] — the Standard (char free-space 4-gram) and Koppel
 //!   (feature-subsampling vote) baselines of §IV-F;
-//! * [`batch`] — the RAM-bounded hierarchical batching of §IV-J;
-//! * [`checkpoint`] — crash-recovery state for batched runs;
+//! * [`batch`] — the RAM-bounded hierarchical batching of §IV-J, with
+//!   crash-recovery checkpoints;
 //! * [`artifact`] — persisted fit artifacts (fit once, serve many);
 //! * [`linker`] — the high-level corpus-to-corpus linking API.
 
@@ -34,7 +34,6 @@ pub mod attrib;
 pub mod baseline;
 pub mod batch;
 pub mod calibrate;
-pub mod checkpoint;
 pub mod confidence;
 pub mod dataset;
 pub mod explain;

@@ -46,7 +46,7 @@ pub struct LinkerConfig {
     /// guard-rail: the pressure ladder shrinks breaching rounds.
     pub batch: Option<BatchConfig>,
     /// Persist batched state here after every round and resume from it on
-    /// restart (see [`crate::checkpoint`]). Only meaningful when batched
+    /// restart (see [`crate::batch`]). Only meaningful when batched
     /// (an explicit `batch` or a governor memory budget).
     pub checkpoint: Option<PathBuf>,
 }
@@ -152,12 +152,7 @@ impl Linker {
             return Vec::new();
         }
         let engine = TwoStage::new(self.config.two_stage.clone());
-        // One link-local extension of the artifact's lexicon for both
-        // stages; it is dropped with `unknown_ds`, so serving never grows
-        // the artifact.
-        let unknown_ds = unknown_ds.rebased_onto(artifact.known.lexicon());
-        let stage1 = engine.reduce_prefit(&artifact.space, &artifact.index, &unknown_ds);
-        let ranked = engine.rescore(&artifact.known, &unknown_ds, stage1);
+        let ranked = engine.run_prefit(artifact, &unknown_ds);
         engine
             .threshold_links(ranked)
             .into_iter()

@@ -64,19 +64,12 @@ impl LinkSession {
 
     /// Queries one prepared record: stage-1 lookup in the frozen index
     /// ([`TwoStage::reduce_prefit`]), then the usual stage-2 refit over
-    /// the k candidates.
+    /// the k candidates — the path `Linker::link_with_artifact` serves.
     pub fn query_record(&self, record: &Record) -> RankedMatch {
-        let known = &self.artifact.known;
-        let (max_word_n, max_char_n) = known.ngram_orders();
+        let (max_word_n, max_char_n) = self.known().ngram_orders();
         let unknown = Dataset::with_orders("query", vec![record.clone()], max_word_n, max_char_n);
-        // One link-local extension of the known lexicon serves both
-        // stages and is dropped with the query.
-        let unknown = unknown.rebased_onto(known.lexicon());
-        let stage1 =
-            self.engine
-                .reduce_prefit(&self.artifact.space, &self.artifact.index, &unknown);
         self.engine
-            .rescore(known, &unknown, stage1)
+            .run_prefit(&self.artifact, &unknown)
             .into_iter()
             .next()
             // audit:allow(no-naked-unwrap) -- rescore returns one RankedMatch per unknown and exactly one is passed

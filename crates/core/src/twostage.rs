@@ -7,6 +7,7 @@
 //! consequently the Tf-Idf weighting" — re-scores, and outputs the best
 //! pair when its score clears the threshold.
 
+use crate::artifact::FitArtifact;
 use crate::attrib::{cmp_desc, CandidateIndex, Ranked};
 use crate::dataset::{Dataset, Record};
 use darklight_activity::profile::DailyActivityProfile;
@@ -170,7 +171,9 @@ impl TwoStage {
         self.reduce_views(&DocView::all(known), &DocView::all(&unknown))
     }
 
-    /// [`reduce`](Self::reduce) over borrowed record views. The unknown
+    /// [`reduce`](Self::reduce) over borrowed record views: the stage-1
+    /// fit ([`fit_known`](Self::fit_known)), then the ranking
+    /// [`reduce_prefit`](Self::reduce_prefit) serves with. The unknown
     /// documents must already be in a lexicon compatible with the known
     /// ones' for the fast path (raw-id lookups); any other lexicon is
     /// still correct, through string translation.
@@ -179,18 +182,10 @@ impl TwoStage {
         known: &[DocView<'_>],
         unknown: &[DocView<'_>],
     ) -> Vec<Vec<Ranked>> {
-        let metrics = &self.config.metrics;
-        let _stage1 = metrics.timer("twostage.stage1").start();
+        let _stage1 = self.config.metrics.timer("twostage.stage1").start();
         let threads = self.config.observed_threads();
-        let space = FeatureExtractor::new(self.config.reduction.clone())
-            .with_metrics(metrics.clone())
-            .with_threads(threads)
-            .fit_counted(known.iter().map(|d| d.counted));
-        let known_vecs =
-            self.vectorize_tolerant(known, threads, &space, "twostage.vectorize_known");
-        let index = CandidateIndex::build_with_metrics(&known_vecs, space.dim(), metrics);
-        let queries = self.vectorize_tolerant(unknown, threads, &space, "twostage.vectorize_query");
-        index.top_k_batch(&queries, self.config.k, threads)
+        let (space, _, index) = self.fit_known(&self.config.reduction, known, threads);
+        self.rank(&space, &index, unknown, self.config.k, threads)
     }
 
     /// Stage 1 against an **already fitted** space: ranks every unknown
@@ -208,17 +203,53 @@ impl TwoStage {
         index: &CandidateIndex,
         unknown: &Dataset,
     ) -> Vec<Vec<Ranked>> {
-        let metrics = &self.config.metrics;
-        let _stage1 = metrics.timer("twostage.stage1").start();
+        let _stage1 = self.config.metrics.timer("twostage.stage1").start();
         let threads = self.config.observed_threads();
         let unknown = unknown.rebased_onto(space.lexicon());
-        let queries = self.vectorize_tolerant(
-            &DocView::all(&unknown),
-            threads,
+        self.rank(
             space,
-            "twostage.vectorize_query",
-        );
-        index.top_k_batch_observed(&queries, self.config.k, threads, metrics)
+            index,
+            &DocView::all(&unknown),
+            self.config.k,
+            threads,
+        )
+    }
+
+    /// The stage-1 fit every path shares — a fresh reduction, the
+    /// single-stage ablation and a [`FitArtifact`]: fit `fc` on the known
+    /// documents (map-reduce over `threads` workers, identical to a
+    /// serial fit for every count), vectorize them skip-tolerantly (see
+    /// [`reduce`](Self::reduce)) and index the vectors. Returns the
+    /// space, the known vectors in input order and their index.
+    pub(crate) fn fit_known(
+        &self,
+        fc: &FeatureConfig,
+        known: &[DocView<'_>],
+        threads: usize,
+    ) -> (FeatureSpace, Vec<SparseVector>, CandidateIndex) {
+        let metrics = &self.config.metrics;
+        let space = FeatureExtractor::new(fc.clone())
+            .with_metrics(metrics.clone())
+            .with_threads(threads)
+            .fit_counted(known.iter().map(|d| d.counted));
+        let known_vecs =
+            self.vectorize_tolerant(known, threads, &space, "twostage.vectorize_known");
+        let index = CandidateIndex::build_with_metrics(&known_vecs, space.dim(), metrics);
+        (space, known_vecs, index)
+    }
+
+    /// Ranks `unknown` — already in `space`'s lexicon lineage — in a
+    /// fitted index, keeping the `depth` best candidates per unknown.
+    fn rank(
+        &self,
+        space: &FeatureSpace,
+        index: &CandidateIndex,
+        unknown: &[DocView<'_>],
+        depth: usize,
+        threads: usize,
+    ) -> Vec<Vec<Ranked>> {
+        let queries = self.vectorize_tolerant(unknown, threads, space, "twostage.vectorize_query");
+        index.top_k_batch_observed(&queries, depth, threads, &self.config.metrics)
     }
 
     /// Vectorizes `docs` in parallel, degrading panicking documents to
@@ -232,7 +263,7 @@ impl TwoStage {
     ) -> Vec<SparseVector> {
         let metrics = &self.config.metrics;
         darklight_par::try_par_map(docs, threads, metrics, |i, d| {
-            darklight_par::fault::maybe_panic(site, i);
+            darklight_govern::fault::maybe_panic(site, i);
             space.vectorize_counted(d.counted, d.profile)
         })
         .into_iter()
@@ -252,6 +283,19 @@ impl TwoStage {
         let unknown = unknown.rebased_onto(known.lexicon());
         let stage1 = self.reduce(known, &unknown);
         self.rescore(known, &unknown, stage1)
+    }
+
+    /// Both stages for every unknown against a fitted artifact instead
+    /// of a fresh fit: the unknown side is rebased onto the artifact's
+    /// lexicon once — a link-local extension dropped with the result, so
+    /// serving never grows the artifact — ranked in its index
+    /// ([`reduce_prefit`](Self::reduce_prefit)) and rescored on its known
+    /// records. Byte-identical to [`run`](Self::run) on the dataset the
+    /// artifact was fitted from.
+    pub(crate) fn run_prefit(&self, artifact: &FitArtifact, unknown: &Dataset) -> Vec<RankedMatch> {
+        let unknown = unknown.rebased_onto(artifact.known.lexicon());
+        let stage1 = self.reduce_prefit(&artifact.space, &artifact.index, &unknown);
+        self.rescore(&artifact.known, &unknown, stage1)
     }
 
     /// Stage 2 given existing stage-1 candidate lists (used by the batch
@@ -294,7 +338,7 @@ impl TwoStage {
         // and counted in `par.worker_panics` — then re-raised here with
         // its payload preserved.
         let slots = darklight_par::try_par_map(&stage1, threads, metrics, |u, candidates| {
-            darklight_par::fault::maybe_panic("twostage.rescore", u);
+            darklight_govern::fault::maybe_panic("twostage.rescore", u);
             self.rescore_one(known, unknown[u], u, candidates)
         });
         slots
@@ -369,28 +413,12 @@ impl TwoStage {
         unknown: &Dataset,
         depth: usize,
     ) -> Vec<RankedMatch> {
-        let metrics = &self.config.metrics;
         let threads = self.config.observed_threads();
         let unknown = unknown.rebased_onto(known.lexicon());
-        let space = FeatureExtractor::new(self.config.final_stage.clone())
-            .with_metrics(metrics.clone())
-            .with_threads(threads)
-            .fit_counted(known.records.iter().map(|r| &r.counted));
-        let known_vecs = self.vectorize_tolerant(
-            &DocView::all(known),
-            threads,
-            &space,
-            "twostage.vectorize_known",
-        );
-        let index = CandidateIndex::build_with_metrics(&known_vecs, space.dim(), metrics);
-        let queries = self.vectorize_tolerant(
-            &DocView::all(&unknown),
-            threads,
-            &space,
-            "twostage.vectorize_query",
-        );
-        let tops = index.top_k_batch(&queries, depth, threads);
-        tops.into_iter()
+        let (space, _, index) =
+            self.fit_known(&self.config.final_stage, &DocView::all(known), threads);
+        self.rank(&space, &index, &DocView::all(&unknown), depth, threads)
+            .into_iter()
             .enumerate()
             .map(|(u, ranked)| RankedMatch {
                 unknown: u,

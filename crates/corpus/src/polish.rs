@@ -236,7 +236,7 @@ impl Polisher {
         self.metrics.gauge("polish.threads").set(threads as i64);
         let per_user =
             darklight_par::try_par_map(&corpus.users, threads, &self.metrics, |i, user| {
-                darklight_par::fault::maybe_panic("polish.user", i);
+                darklight_govern::fault::maybe_panic("polish.user", i);
                 let mut report = PolishReport::default();
                 let mut steps = StepNanos::default();
                 if self.config.drop_bots && Self::is_bot_name(&user.alias) {

@@ -1,42 +1,51 @@
-//! Deterministic I/O fault injection (`DARKLIGHT_FAULT_IO`).
+//! Deterministic fault injection: the workspace's one hook.
 //!
-//! Mirrors the `DARKLIGHT_FAULT_PANICS` hook in `darklight-par`: the
-//! environment variable is parsed once per process, and instrumented
-//! I/O call sites ask [`maybe_fail_io`] before touching the filesystem.
-//! Where the panic hook fires on a `(site, item index)` pair, the I/O
-//! hook is a **countdown**: `DARKLIGHT_FAULT_IO=checkpoint.save:2`
-//! makes the first two calls at `checkpoint.save` fail with a synthetic
-//! [`std::io::Error`] and every later call succeed — exactly the shape
-//! a transient-outage regression test needs (set the count below the
-//! retry budget and the run must recover; above it and the run must
-//! surface a typed error).
+//! Two environment variables feed one spec, parsed once per process by
+//! one entry parser:
 //!
-//! Beyond the fail-count mode, two **write-corruption** modes model the
-//! crashes a durable store must survive. Both are one-shot (they fire on
-//! the first write at the site and never again) and are consumed via
-//! [`take_write_fault`] by call sites that buffer their output bytes:
+//! * `DARKLIGHT_FAULT_PANICS` — comma-separated `site:index` entries.
+//!   Instrumented worker closures call [`maybe_panic`] with their site
+//!   and item index; a listed pair panics with a recognizable message,
+//!   which the `try_par_map` wrappers of `darklight-par` isolate. Sites:
+//!   `polish.user`, `twostage.vectorize_known`,
+//!   `twostage.vectorize_query` (skip-tolerant) and `twostage.rescore`
+//!   (fail-fast). An injection depends only on (site, index) — never on
+//!   thread count or scheduling — so a degraded run is as deterministic
+//!   as a healthy one.
+//! * `DARKLIGHT_FAULT_IO` — comma-separated entries of three modes for
+//!   the I/O call sites, which consult [`maybe_fail_io`] before touching
+//!   the filesystem:
+//!   * `site:count` — a **countdown**: the first `count` calls at `site`
+//!     fail with a synthetic [`std::io::Error`] and every later call
+//!     succeeds — exactly the shape a transient-outage regression test
+//!     needs (set the count below the retry budget and the run must
+//!     recover; above it and the run must surface a typed error);
+//!   * `trunc:<site>:<bytes>` — the write is torn: only the first
+//!     `<bytes>` bytes reach the file (a crash mid-`write`);
+//!   * `flip:<site>:<byte-offset>` — the byte at `<byte-offset>` is
+//!     XOR-ed with `0xff` before hitting the disk (a torn sector or
+//!     bit rot that the rename discipline alone cannot catch).
 //!
-//! * `trunc:<site>:<bytes>` — the write is torn: only the first
-//!   `<bytes>` bytes reach the file (a crash mid-`write`).
-//! * `flip:<site>:<byte-offset>` — the byte at `<byte-offset>` is
-//!   XOR-ed with `0xff` before hitting the disk (a torn sector or
-//!   bit-rot that the rename discipline alone cannot catch).
+//!   The two corruption modes are one-shot (they fire on the first write
+//!   at the site and never again) and are consumed via
+//!   [`take_write_fault`] by call sites that buffer their output bytes.
+//!   Modes mix freely: `DARKLIGHT_FAULT_IO=trunc:store.write_artifact:64,corpus.read:1`.
+//!   I/O sites: `checkpoint.save`, `checkpoint.load` (batched attribution
+//!   in `darklight-core`), `corpus.read` (the CLI ingestion path), and the
+//!   artifact sites of `darklight-store` (`store.write_artifact`,
+//!   `store.publish_rename`, `store.current_swap`).
 //!
-//! Entries of all three modes mix freely in one comma-separated
-//! variable: `DARKLIGHT_FAULT_IO=trunc:store.write:64,corpus.read:1`.
-//! Injection stays deterministic — the spec is latched once per process
-//! and each corruption entry fires exactly once at a fixed call.
-//!
-//! Sites instrumented today: `checkpoint.save`, `checkpoint.load`
-//! (`darklight-core`), `corpus.read` (the CLI ingestion path), and the
-//! `store.*` sites of `darklight-store` (`store.write_artifact`,
-//! `store.publish_rename`, `store.current_swap`).
+//! With both variables unset every hook is one `OnceLock` read and an
+//! empty scan. Malformed entries are skipped.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-/// Environment variable holding comma-separated fault entries: either
-/// `site:count` (fail-count mode), `trunc:site:bytes`, or
+/// Environment variable listing `site:index` panic injection points.
+pub const FAULT_PANICS_ENV: &str = "DARKLIGHT_FAULT_PANICS";
+
+/// Environment variable holding comma-separated I/O fault entries:
+/// either `site:count` (fail-count mode), `trunc:site:bytes`, or
 /// `flip:site:byte-offset`.
 pub const FAULT_IO_ENV: &str = "DARKLIGHT_FAULT_IO";
 
@@ -75,66 +84,78 @@ struct CorruptSlot {
     armed: AtomicBool,
 }
 
+#[derive(Default)]
 struct Spec {
+    panics: Vec<(String, usize)>,
     counts: Vec<Slot>,
     corruptions: Vec<CorruptSlot>,
 }
 
-fn parse_entry(entry: &str, spec: &mut Spec) {
-    let entry = entry.trim();
-    if let Some(rest) = entry.strip_prefix("trunc:") {
-        if let Some((site, bytes)) = rest.rsplit_once(':') {
-            if let Ok(n) = bytes.trim().parse::<usize>() {
-                spec.corruptions.push(CorruptSlot {
-                    site: site.trim().to_string(),
-                    fault: WriteFault::Truncate(n),
-                    armed: AtomicBool::new(true),
-                });
-            }
-        }
+/// Parses one entry of the variable `var` into `spec`. Every entry ends
+/// in `:<number>`; what the head before it means depends on the
+/// variable (and, for I/O entries, on a `trunc:`/`flip:` prefix).
+fn parse_entry(var: &str, entry: &str, spec: &mut Spec) {
+    let Some((head, n)) = entry.trim().rsplit_once(':') else {
+        return;
+    };
+    let Ok(n) = n.trim().parse::<usize>() else {
+        return;
+    };
+    let head = head.trim();
+    if var == FAULT_PANICS_ENV {
+        spec.panics.push((head.to_string(), n));
         return;
     }
-    if let Some(rest) = entry.strip_prefix("flip:") {
-        if let Some((site, off)) = rest.rsplit_once(':') {
-            if let Ok(n) = off.trim().parse::<usize>() {
-                spec.corruptions.push(CorruptSlot {
-                    site: site.trim().to_string(),
-                    fault: WriteFault::FlipByte(n),
-                    armed: AtomicBool::new(true),
-                });
-            }
-        }
-        return;
-    }
-    if let Some((site, count)) = entry.rsplit_once(':') {
-        if let Ok(count) = count.trim().parse::<u64>() {
-            spec.counts.push(Slot {
-                site: site.trim().to_string(),
-                remaining: AtomicU64::new(count),
-            });
-        }
+    let corruption = if let Some(site) = head.strip_prefix("trunc:") {
+        Some((site, WriteFault::Truncate(n)))
+    } else {
+        head.strip_prefix("flip:")
+            .map(|site| (site, WriteFault::FlipByte(n)))
+    };
+    match corruption {
+        Some((site, fault)) => spec.corruptions.push(CorruptSlot {
+            site: site.trim().to_string(),
+            fault,
+            armed: AtomicBool::new(true),
+        }),
+        None => spec.counts.push(Slot {
+            site: head.to_string(),
+            remaining: AtomicU64::new(n as u64),
+        }),
     }
 }
 
 fn spec() -> &'static Spec {
     static SPEC: OnceLock<Spec> = OnceLock::new();
     SPEC.get_or_init(|| {
-        let mut spec = Spec {
-            counts: Vec::new(),
-            corruptions: Vec::new(),
-        };
-        if let Ok(raw) = std::env::var(FAULT_IO_ENV) {
-            for entry in raw.split(',') {
-                parse_entry(entry, &mut spec);
+        let mut spec = Spec::default();
+        for var in [FAULT_PANICS_ENV, FAULT_IO_ENV] {
+            if let Ok(raw) = std::env::var(var) {
+                for entry in raw.split(',') {
+                    parse_entry(var, entry, &mut spec);
+                }
             }
         }
         spec
     })
 }
 
-/// True when a fault should fire for this call at `site` (consumes one
-/// unit of the site's countdown).
-pub fn take(site: &str) -> bool {
+/// `true` when `site:index` is listed in `DARKLIGHT_FAULT_PANICS`.
+pub fn is_injected(site: &str, index: usize) -> bool {
+    spec().panics.iter().any(|(s, i)| s == site && *i == index)
+}
+
+/// Panics iff `site:index` is a panic injection point. Call from inside
+/// a worker closure that a `try_par_map` wrapper isolates.
+pub fn maybe_panic(site: &str, index: usize) {
+    if is_injected(site, index) {
+        panic!("injected fault at {site}:{index}");
+    }
+}
+
+/// True when an I/O fault should fire for this call at `site` (consumes
+/// one unit of the site's countdown).
+fn take(site: &str) -> bool {
     for slot in &spec().counts {
         if slot.site == site {
             // Decrement-if-positive: the first `count` calls fault.
@@ -183,32 +204,42 @@ mod tests {
     use super::*;
 
     // `spec()` latches the environment once per process, so these tests
-    // exercise the parser indirectly: with the variable unset (the
-    // normal `cargo test` environment) every site must pass. The
-    // count-down behaviour itself is pinned end-to-end by
-    // `tests/govern_soak.rs` and the CLI fault tests, which own their
-    // process environment.
+    // exercise the parser indirectly: with both variables unset (the
+    // normal `cargo test` environment) every site must pass. The hooks'
+    // behaviour itself is pinned end-to-end by the fault-injection,
+    // govern-soak and store-crash suites and the CLI fault tests, which
+    // own their process environment.
     #[test]
     fn unset_environment_injects_nothing() {
         assert!(!take("checkpoint.save"));
         assert!(maybe_fail_io("checkpoint.save").is_ok());
         assert!(maybe_fail_io("no.such.site").is_ok());
         assert!(take_write_fault("store.write_artifact").is_none());
+        assert!(!is_injected("any.site", 0));
+        maybe_panic("any.site", 0);
+    }
+
+    fn parse(var: &str, raw: &str, spec: &mut Spec) {
+        for entry in raw.split(',') {
+            parse_entry(var, entry, spec);
+        }
     }
 
     // The parser itself is pure, so it can be pinned directly without
     // touching the process environment.
     #[test]
     fn parser_understands_all_three_modes() {
-        let mut spec = Spec {
-            counts: Vec::new(),
-            corruptions: Vec::new(),
-        };
-        for entry in "checkpoint.save:2, trunc:store.write_artifact:64 ,flip:store.write_artifact:9"
-            .split(',')
-        {
-            parse_entry(entry, &mut spec);
-        }
+        let mut spec = Spec::default();
+        parse(
+            FAULT_IO_ENV,
+            "checkpoint.save:2, trunc:store.write_artifact:64 ,flip:store.write_artifact:9",
+            &mut spec,
+        );
+        parse(
+            FAULT_PANICS_ENV,
+            "polish.user:1, twostage.vectorize_known:3",
+            &mut spec,
+        );
         assert_eq!(spec.counts.len(), 1);
         assert_eq!(spec.counts[0].site, "checkpoint.save");
         assert_eq!(spec.counts[0].remaining.load(Ordering::Relaxed), 2);
@@ -216,19 +247,29 @@ mod tests {
         assert_eq!(spec.corruptions[0].site, "store.write_artifact");
         assert_eq!(spec.corruptions[0].fault, WriteFault::Truncate(64));
         assert_eq!(spec.corruptions[1].fault, WriteFault::FlipByte(9));
+        // A bare `site:n` means a countdown in the I/O variable and an
+        // injection point in the panic variable.
+        assert_eq!(
+            spec.panics,
+            [
+                ("polish.user".to_string(), 1),
+                ("twostage.vectorize_known".to_string(), 3)
+            ]
+        );
     }
 
     #[test]
     fn parser_skips_malformed_entries() {
-        let mut spec = Spec {
-            counts: Vec::new(),
-            corruptions: Vec::new(),
-        };
-        for entry in "trunc:nobytes,flip:site:notanumber,bare,site:3".split(',') {
-            parse_entry(entry, &mut spec);
-        }
+        let mut spec = Spec::default();
+        parse(
+            FAULT_IO_ENV,
+            "trunc:nobytes,flip:site:notanumber,bare,site:3",
+            &mut spec,
+        );
+        parse(FAULT_PANICS_ENV, "nosite,polish.user:x,:", &mut spec);
         assert_eq!(spec.counts.len(), 1);
         assert!(spec.corruptions.is_empty());
+        assert!(spec.panics.is_empty());
     }
 
     #[test]

@@ -17,9 +17,10 @@
 //! - [`RetryPolicy`] / [`with_retry`] — jittered exponential backoff
 //!   around checkpoint and corpus I/O, with jitter derived purely from
 //!   the run fingerprint so retried runs stay deterministic.
-//! - [`fault`] — a `DARKLIGHT_FAULT_IO=site:count` injection hook
-//!   mirroring `DARKLIGHT_FAULT_PANICS`, so every retry path has a
-//!   deterministic regression test.
+//! - [`fault`] — the workspace's one fault-injection hook: injected
+//!   panics (`DARKLIGHT_FAULT_PANICS`) for the skip-tolerant and
+//!   fail-fast stages, and injected I/O failures and torn or flipped
+//!   writes (`DARKLIGHT_FAULT_IO`) for every retry and recovery path.
 //!
 //! Everything here is policy-free data plus pure functions: the actual
 //! shrink-and-re-round ladder lives in `darklight-core::batch`, which

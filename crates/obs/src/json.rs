@@ -5,9 +5,10 @@
 //! hand-rolled writer. Objects use [`BTreeMap`] so key order — and
 //! therefore the serialized bytes — are deterministic, which the golden
 //! schema tests rely on. [`Json::parse`] is the matching reader: the
-//! batch-attribution checkpoint files are written with this writer and
-//! read back with this parser on resume, so neither side needs an
-//! external crate.
+//! bench-matrix gate reads its committed baseline reports back with it,
+//! so neither side needs an external crate. (Durable pipeline state —
+//! fit artifacts and batch checkpoints — is binary, in
+//! `darklight-store` containers.)
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

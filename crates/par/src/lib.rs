@@ -42,9 +42,10 @@
 //! skip-and-record (drop the item, keep the run alive) or fail-fast
 //! (re-raise, where a silent hole would corrupt downstream results).
 //!
-//! The [`fault`] module provides the deterministic fault-injection hook
-//! the resilience test-suite drives: `DARKLIGHT_FAULT_PANICS` names
-//! `site:index` pairs at which instrumented call sites panic on purpose.
+//! The deterministic panic injection the resilience suite drives
+//! (`DARKLIGHT_FAULT_PANICS`) lives with the I/O fault hook in
+//! `darklight_govern::fault`; instrumented closures call it from inside
+//! these wrappers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -354,55 +355,6 @@ where
         .collect()
 }
 
-pub mod fault {
-    //! Deterministic fault injection for resilience tests.
-    //!
-    //! The `DARKLIGHT_FAULT_PANICS` environment variable names injection
-    //! points as comma-separated `site:index` pairs, e.g.
-    //! `twostage.vectorize_known:1,polish.user:3`. Instrumented call
-    //! sites invoke [`maybe_panic`] with their site name and item index;
-    //! when the pair is listed, the call panics with a recognizable
-    //! message. Faults depend only on (site, index) — never on thread
-    //! count or scheduling — so a degraded run is still deterministic,
-    //! which the CI injected-panic thread-parity leg pins.
-    //!
-    //! The spec is parsed once per process; with the variable unset the
-    //! hook is one atomic load and a `None` check.
-
-    use std::sync::OnceLock;
-
-    /// Environment variable listing `site:index` injection points.
-    pub const FAULT_ENV: &str = "DARKLIGHT_FAULT_PANICS";
-
-    fn spec() -> &'static [(String, usize)] {
-        static SPEC: OnceLock<Vec<(String, usize)>> = OnceLock::new();
-        SPEC.get_or_init(|| {
-            let Ok(raw) = std::env::var(FAULT_ENV) else {
-                return Vec::new();
-            };
-            raw.split(',')
-                .filter_map(|entry| {
-                    let (site, index) = entry.trim().rsplit_once(':')?;
-                    Some((site.to_string(), index.parse().ok()?))
-                })
-                .collect()
-        })
-    }
-
-    /// `true` when `site:index` is listed in `DARKLIGHT_FAULT_PANICS`.
-    pub fn is_injected(site: &str, index: usize) -> bool {
-        spec().iter().any(|(s, i)| s == site && *i == index)
-    }
-
-    /// Panics iff `site:index` is an injection point. Call from inside a
-    /// worker closure that a `try_par_map` wrapper isolates.
-    pub fn maybe_panic(site: &str, index: usize) {
-        if is_injected(site, index) {
-            panic!("injected fault at {site}:{index}");
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -548,15 +500,6 @@ mod tests {
             par_map_deadline(&empty, 4, &Deadline::none(), |_, &x| x).unwrap(),
             Vec::<u8>::new()
         );
-    }
-
-    #[test]
-    fn fault_hook_is_inert_without_env() {
-        // The test process never sets DARKLIGHT_FAULT_PANICS, so every
-        // lookup must be a no-op (env-driven behavior is exercised in the
-        // fault-injection integration suite, which owns its own process).
-        assert!(!fault::is_injected("any.site", 0));
-        fault::maybe_panic("any.site", 0);
     }
 
     #[test]

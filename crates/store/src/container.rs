@@ -27,11 +27,13 @@
 //! each payload is checksummed before it is handed to a decoder. Loads
 //! return typed errors on every corruption; nothing panics.
 //!
-//! Writing goes through the tmp + fsync + rename discipline shared with
-//! `darklight-core::checkpoint`, instrumented with the
-//! `DARKLIGHT_FAULT_IO` hooks at three sites: `store.write_artifact`
-//! (transient errors and `trunc:`/`flip:` byte corruption) and
-//! `store.publish_rename` (a crash between tmp write and rename).
+//! Writing goes through the one tmp + fsync + rename + directory-fsync
+//! discipline of the workspace, instrumented with the
+//! `DARKLIGHT_FAULT_IO` hooks at the sites the caller names
+//! ([`WriteSites`]): fit artifacts use `store.write_artifact` (transient
+//! errors and `trunc:`/`flip:` byte corruption) and
+//! `store.publish_rename` (a crash between tmp write and rename); batch
+//! checkpoints use `checkpoint.save`.
 
 use std::fs;
 use std::io::Write as _;
@@ -54,6 +56,25 @@ pub const SITE_WRITE: &str = "store.write_artifact";
 
 /// Fault-injection site for the tmp → final rename.
 pub const SITE_RENAME: &str = "store.publish_rename";
+
+/// The `DARKLIGHT_FAULT_IO` sites one durable write consults, named by
+/// its caller so each kind of file keeps its own drill sites.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WriteSites {
+    /// Consulted before anything touches the disk: the count mode fails
+    /// the write, and a `trunc:`/`flip:` entry corrupts its buffered
+    /// bytes once.
+    pub write: &'static str,
+    /// Consulted between the synced tmp file and its rename (a crash
+    /// that leaves only the tmp file); `None` skips the check.
+    pub rename: Option<&'static str>,
+}
+
+/// The sites of a fit artifact's write.
+pub(crate) const ARTIFACT_SITES: WriteSites = WriteSites {
+    write: SITE_WRITE,
+    rename: Some(SITE_RENAME),
+};
 
 /// One tagged, checksummed payload inside a container.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -212,20 +233,24 @@ pub fn read_container(path: &Path) -> Result<Container, StoreError> {
     Container::from_bytes(&bytes)
 }
 
-/// Serializes and durably writes a container: tmp sibling, `fsync`,
-/// rename over the target, parent-directory `fsync`. Consults the
-/// `DARKLIGHT_FAULT_IO` hooks — the `trunc:`/`flip:` modes corrupt the
-/// buffered bytes (modelling a torn write that still renamed), and the
-/// count mode at `store.publish_rename` fails before the rename
-/// (modelling a crash that leaves only the tmp file).
+/// Serializes and durably writes a container: tmp sibling (`path` with
+/// extension `tmp`), `fsync`, rename over the target, parent-directory
+/// `fsync`. Consults the `DARKLIGHT_FAULT_IO` hooks at `sites`: the
+/// `trunc:`/`flip:` modes model a torn write that still renamed, the
+/// count mode at `sites.rename` a crash that leaves only the tmp file.
 ///
 /// # Errors
 ///
-/// [`StoreError::Io`] on any filesystem failure, injected or real.
-pub fn write_container(path: &Path, container: &Container) -> Result<(), StoreError> {
-    fault::maybe_fail_io(SITE_WRITE)?;
+/// [`StoreError::Io`] on any filesystem failure, injected or real; the
+/// previous file at `path`, if any, is then left untouched.
+pub fn write_container(
+    path: &Path,
+    container: &Container,
+    sites: WriteSites,
+) -> Result<(), StoreError> {
+    fault::maybe_fail_io(sites.write)?;
     let mut bytes = container.to_bytes();
-    if let Some(f) = fault::take_write_fault(SITE_WRITE) {
+    if let Some(f) = fault::take_write_fault(sites.write) {
         f.corrupt(&mut bytes);
     }
     let tmp = path.with_extension("tmp");
@@ -234,17 +259,26 @@ pub fn write_container(path: &Path, container: &Container) -> Result<(), StoreEr
         file.write_all(&bytes)?;
         file.sync_all()?;
     }
-    fault::maybe_fail_io(SITE_RENAME)?;
+    if let Some(site) = sites.rename {
+        fault::maybe_fail_io(site)?;
+    }
     fs::rename(&tmp, path)?;
     sync_parent_dir(path)?;
     Ok(())
 }
 
-/// Fsyncs the parent directory so the rename itself is durable.
+/// Fsyncs the parent directory so the rename itself is durable. A bare
+/// file name's parent is the empty path, which names the current
+/// directory.
 pub(crate) fn sync_parent_dir(path: &Path) -> Result<(), StoreError> {
     #[cfg(unix)]
     if let Some(parent) = path.parent() {
-        fs::File::open(parent)?.sync_all()?;
+        let dir = if parent.as_os_str().is_empty() {
+            Path::new(".")
+        } else {
+            parent
+        };
+        fs::File::open(dir)?.sync_all()?;
     }
     #[cfg(not(unix))]
     let _ = path;
@@ -342,10 +376,26 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("artifact.dla");
         let c = sample();
-        write_container(&path, &c).unwrap();
+        write_container(&path, &c, ARTIFACT_SITES).unwrap();
         assert_eq!(read_container(&path).unwrap(), c);
         assert!(!path.with_extension("tmp").exists());
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn bare_file_name_writes_into_the_working_directory() {
+        // A bare name's parent is the empty path; the directory fsync
+        // must treat it as the current directory instead of failing
+        // after the rename already put the file in place. Cargo runs a
+        // crate's unit tests with its manifest directory as the working
+        // directory, so the name is unique to this process.
+        let name = format!("dl-store-bare-{}.dlc", std::process::id());
+        let path = Path::new(&name);
+        let c = sample();
+        write_container(path, &c, ARTIFACT_SITES).unwrap();
+        assert_eq!(read_container(path).unwrap(), c);
+        assert!(!path.with_extension("tmp").exists());
+        fs::remove_file(path).unwrap();
     }
 
     #[test]

@@ -37,7 +37,9 @@ use std::path::{Path, PathBuf};
 use darklight_govern::fault;
 use darklight_obs::PipelineMetrics;
 
-use crate::container::{read_container, sync_parent_dir, write_container, Container};
+use crate::container::{
+    read_container, sync_parent_dir, write_container, Container, ARTIFACT_SITES,
+};
 use crate::StoreError;
 
 /// Name of the pointer file under the store root.
@@ -134,7 +136,7 @@ impl EpochStore {
         let epoch = self.epochs()?.last().copied().unwrap_or(0) + 1;
         let dir = self.epoch_dir(epoch);
         fs::create_dir_all(&dir)?;
-        write_container(&self.artifact_path(epoch), container)?;
+        write_container(&self.artifact_path(epoch), container, ARTIFACT_SITES)?;
         self.swap_current(epoch)?;
         self.metrics.counter("store.saves").incr();
         Ok(epoch)

@@ -1,34 +1,38 @@
-//! Durable artifact storage for fitted pipeline state.
+//! Durable storage for pipeline state: the workspace's one on-disk
+//! format.
 //!
-//! The checkpoint machinery in `darklight-core` already writes JSON via
-//! the tmp + fsync + rename discipline, which protects against a crash
-//! *between* files — but not against a torn write, a truncated tail, or
-//! a flipped bit inside one: those load as garbage. This crate adds the
-//! storage layer an artifact-serving daemon needs:
+//! Renaming a synced tmp file into place protects against a crash
+//! *between* files, but not against a torn write, a truncated tail, or
+//! a flipped bit inside one: those load as garbage. Every durable file
+//! the pipeline writes — fit artifacts and batch checkpoints alike —
+//! therefore goes through this crate:
 //!
 //! * [`container`] — a versioned, sectioned, CRC-checksummed binary
-//!   container. Every section carries its own CRC-32; loads return
-//!   typed [`StoreError`]s ([`VersionMismatch`](StoreError::VersionMismatch),
+//!   container, written tmp + fsync + rename + directory fsync. Every
+//!   section carries its own CRC-32; loads return typed [`StoreError`]s
+//!   ([`VersionMismatch`](StoreError::VersionMismatch),
 //!   [`SectionCrcMismatch`](StoreError::SectionCrcMismatch),
 //!   [`TruncatedSection`](StoreError::TruncatedSection), …) and never
 //!   panic on hostile bytes.
 //! * [`epoch`] — immutable epoch directories under a store root, with a
 //!   `CURRENT` pointer swapped atomically after each publish and a
 //!   recovery ladder that walks back to the newest epoch that still
-//!   loads cleanly.
+//!   loads cleanly (fit artifacts).
 //! * [`codec`] — the little-endian byte codec the container and its
 //!   payload encoders share, with bounds-checked reads.
+//! * [`fnv`] — the FNV-1a hasher behind the state fingerprints callers
+//!   store in a container's header.
 //!
-//! What goes *inside* the sections is the caller's business: the domain
-//! encoding of the fitted pipeline (vocabularies, IDF, author vectors,
-//! activity profiles, the fit fingerprint) lives in
-//! `darklight-core::artifact`, keeping this crate a generic container
-//! layer below the engine.
+//! What goes *inside* the sections is the caller's business: the fitted
+//! pipeline's encoding lives in `darklight-core::artifact`, the batched
+//! rounds' survivor pools in `darklight-core::batch`, keeping this crate
+//! a generic container layer below the engine.
 //!
-//! Writes consult the `DARKLIGHT_FAULT_IO` hooks of `darklight-govern`:
-//! the count mode injects transient I/O errors, and the `trunc:`/`flip:`
-//! modes corrupt the buffered bytes before they reach disk — the
-//! crash-consistency harness drives every fault point through them.
+//! Writes consult the `DARKLIGHT_FAULT_IO` hooks of `darklight-govern`
+//! at sites the caller names ([`WriteSites`]): the count mode injects
+//! transient I/O errors, and the `trunc:`/`flip:` modes corrupt the
+//! buffered bytes before they reach disk — the crash-consistency
+//! harness drives every fault point through them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,14 +41,19 @@ pub mod codec;
 pub mod container;
 pub mod crc;
 pub mod epoch;
+pub mod fnv;
 
-pub use container::{read_container, write_container, Container, Section, FORMAT_VERSION};
+pub use container::{
+    read_container, write_container, Container, Section, WriteSites, FORMAT_VERSION,
+};
 pub use epoch::{EpochStore, CURRENT_FILE};
+pub use fnv::Fnv1a;
 
 use std::fmt;
 
-/// Typed failures of the artifact store. Corruption is always reported
-/// as a value — no load path panics on malformed bytes.
+/// Typed failures of the store, for artifacts and checkpoints alike.
+/// Corruption is always reported as a value — no load path panics on
+/// malformed bytes.
 #[derive(Debug)]
 pub enum StoreError {
     /// An underlying filesystem operation failed.
@@ -127,16 +136,5 @@ impl std::error::Error for StoreError {
 impl From<std::io::Error> for StoreError {
     fn from(e: std::io::Error) -> StoreError {
         StoreError::Io(e)
-    }
-}
-
-impl StoreError {
-    /// True for errors that mean "these bytes are not a trustworthy
-    /// artifact" — the recovery ladder falls back to an earlier epoch on
-    /// them. I/O errors also qualify (a vanished file is as unusable as
-    /// a corrupt one); only [`NoUsableEpoch`](StoreError::NoUsableEpoch)
-    /// itself is terminal.
-    pub fn is_corruption(&self) -> bool {
-        !matches!(self, StoreError::NoUsableEpoch)
     }
 }

@@ -22,7 +22,7 @@
 //! darklight link <known.tsv> <unknown.tsv> [--threshold T] [--k K]
 //!               [--threads N] [--metrics out.json] [--lenient|--strict]
 //!               [--batch-size B] [--mem-budget SIZE] [--deadline DUR]
-//!               [--checkpoint state.json]
+//!               [--checkpoint state.ckpt]
 //! darklight link --artifact <artifact-dir> <unknown.tsv> [--threshold T]
 //!               [--k K] [--threads N] [--metrics out.json]
 //!               [--lenient|--strict]
@@ -50,9 +50,10 @@
 //!     a valid --checkpoint to resume from.
 //!     --checkpoint persists batched state after every round and
 //!     resumes from it on restart (implies --batch-size 100 unless
-//!     given). A checkpoint written by a different config/corpus is
-//!     refused rather than silently resumed. Checkpoint and corpus
-//!     I/O retries transient failures with deterministic backoff.
+//!     given). A checkpoint written by a different config/corpus, or
+//!     corrupted on disk, is refused rather than resumed. Checkpoint
+//!     and corpus I/O retries transient failures with deterministic
+//!     backoff.
 //!
 //! darklight profile <corpus.tsv> <alias>
 //!     Activity profile and leaked-fact dossier for one alias.
@@ -155,7 +156,7 @@ const USAGE: &str =
   fit <known.tsv> --out <artifact-dir> [--threads N] [--metrics out.json] [--lenient|--strict]\n\
   link <known.tsv> <unknown.tsv> [--threshold T] [--k K] [--threads N] [--metrics out.json]\n\
        [--lenient|--strict] [--batch-size B] [--mem-budget SIZE] [--deadline DUR]\n\
-       [--checkpoint state.json]\n\
+       [--checkpoint state.ckpt]\n\
   link --artifact <artifact-dir> <unknown.tsv> [--threshold T] [--k K] [--threads N]\n\
        [--metrics out.json] [--lenient|--strict]\n\
   profile <corpus.tsv> <alias>\n\

@@ -332,6 +332,51 @@ fn link_with_checkpoint_succeeds_and_cleans_up() {
 }
 
 #[test]
+fn link_with_a_bare_checkpoint_name_writes_into_the_working_directory() {
+    // `--checkpoint link_state.ckpt` names a file in the working
+    // directory; its parent is the empty path, which the durable write
+    // must fsync as the current directory instead of failing after the
+    // first round's rename.
+    let dir = temp_dir("ckpt_bare");
+    bin()
+        .args([
+            "gen",
+            dir.to_str().unwrap(),
+            "--scale",
+            "small",
+            "--seed",
+            "9",
+        ])
+        .output()
+        .unwrap();
+    let out = bin()
+        .current_dir(&dir)
+        .args([
+            "link",
+            "tmg.tsv",
+            "dm.tsv",
+            "--threshold",
+            "0.86",
+            "--batch-size",
+            "10",
+            "--checkpoint",
+            "link_state.ckpt",
+        ])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let table = String::from_utf8_lossy(&out.stdout);
+    assert!(table.starts_with("unknown_alias\tknown_alias\tscore"));
+    assert!(!dir.join("link_state.ckpt").exists());
+    assert!(!dir.join("link_state.tmp").exists());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn gen_polish_stats_link_profile_flow() {
     let dir = temp_dir("flow");
     // gen

@@ -18,9 +18,11 @@ use darklight::core::batch::{
 };
 use darklight::core::dataset::{Dataset, DatasetBuilder};
 use darklight::core::twostage::{TwoStage, TwoStageConfig};
+use darklight::core::FitArtifact;
 use darklight::corpus::io::{read_corpus_lenient, IssueKind, LenientConfig};
 use darklight::corpus::model::{Corpus, Post, User};
 use darklight::corpus::polish::{PolishConfig, Polisher};
+use darklight::govern::{Deadline, GovernConfig, GovernError};
 use darklight::obs::PipelineMetrics;
 use std::path::PathBuf;
 
@@ -187,21 +189,56 @@ fn degraded_runs_are_thread_count_invariant() {
 fn kill_and_resume_is_byte_identical_across_thread_counts() {
     init_faults();
     let (known, unknown) = world();
-    let config = BatchConfig { batch_size: 3 };
+    // Four per batch against k = 3 shrinks the pools every round
+    // (8 → 6 → 5 → 4), so a one-round deadline stops the run mid-way.
+    let config = BatchConfig { batch_size: 4 };
     for threads in [1usize, 2] {
         let e = engine(threads, PipelineMetrics::disabled());
         let uninterrupted = run_batched(&e, &config, &known, &unknown).unwrap();
-        let mut spec = CheckpointSpec::new(ckpt_path(&format!("resume_t{threads}.json")));
-        spec.interrupt_after_rounds = Some(1);
-        let err = run_batched_checkpointed(&e, &config, &known, &unknown, &spec).unwrap_err();
-        assert!(matches!(err, BatchError::Interrupted { .. }), "{err}");
+        let spec = CheckpointSpec::new(ckpt_path(&format!("resume_t{threads}.ckpt")));
+        let killed = TwoStage::new(TwoStageConfig {
+            govern: GovernConfig {
+                deadline: Deadline::after_rounds(1),
+                ..GovernConfig::default()
+            },
+            ..e.config().clone()
+        });
+        let err = run_batched_checkpointed(&killed, &config, &known, &unknown, &spec).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                BatchError::Govern(GovernError::DeadlineExpired { rounds_done: 1 })
+            ),
+            "{err}"
+        );
         assert!(spec.path.exists());
-        spec.interrupt_after_rounds = None;
         let resumed = run_batched_checkpointed(&e, &config, &known, &unknown, &spec).unwrap();
         assert_eq!(
             uninterrupted, resumed,
             "kill-and-resume diverged at {threads} thread(s)"
         );
         assert!(!spec.path.exists(), "checkpoint not cleaned up");
+    }
+}
+
+#[test]
+fn artifact_serving_matches_fresh_run_under_faults() {
+    init_faults();
+    let (known, unknown) = world();
+    for threads in [1usize, 2] {
+        let e = engine(threads, PipelineMetrics::disabled());
+        let fresh = e.run(&known, &unknown);
+        // twostage.vectorize_known:1 zeroes known vector 1 in the fresh
+        // fit; the artifact's fit must degrade the same record, or its
+        // served candidates differ from the fresh ones.
+        let fitted = FitArtifact::fit(e.config(), known.clone());
+        let served = FitArtifact::from_container(&fitted.to_container(), threads).unwrap();
+        assert_eq!(served.known_vecs[1].nnz(), 0, "injection did not fire");
+        let stage1 = e.reduce_prefit(&served.space, &served.index, &unknown);
+        assert_eq!(
+            e.rescore(&served.known, &unknown, stage1),
+            fresh,
+            "served artifact diverged from a fresh run at {threads} thread(s)"
+        );
     }
 }
