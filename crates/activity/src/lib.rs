@@ -39,14 +39,10 @@
 
 pub mod calendar;
 pub mod civil;
-pub mod geolocate;
 pub mod profile;
 pub mod timezone;
-pub mod weekly;
 
 pub use calendar::{HolidayCalendar, UsFederalHolidays};
 pub use civil::{CivilDate, CivilDateTime, Weekday};
-pub use geolocate::{estimate_utc_offset, GeoEstimate};
 pub use profile::{DailyActivityProfile, ProfileBuilder, ProfileError, ProfilePolicy};
 pub use timezone::infer_shift;
-pub use weekly::WeeklyProfile;

@@ -58,24 +58,6 @@ impl MatchConfidence {
     }
 }
 
-/// Applies the margin-augmented rule to a result set, returning accepted
-/// `(unknown, candidate, confidence)` triples.
-pub fn accept_with_margin(
-    results: &[RankedMatch],
-    min_score: f64,
-    min_margin: f64,
-) -> Vec<(usize, usize, MatchConfidence)> {
-    results
-        .iter()
-        .filter_map(|m| {
-            let c = MatchConfidence::of(m)?;
-            let best = m.best()?;
-            c.accept(min_score, min_margin)
-                .then_some((m.unknown, best.index, c))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,13 +117,5 @@ mod tests {
         assert!(c.accept(0.8, 0.0));
         assert!(!c.accept(0.8, 0.1)); // margin too small
         assert!(!c.accept(0.95, 0.0)); // score too small
-    }
-
-    #[test]
-    fn accept_with_margin_filters() {
-        let results = vec![rm(&[0.9, 0.5]), rm(&[0.9, 0.89]), rm(&[0.6, 0.2])];
-        let accepted = accept_with_margin(&results, 0.8, 0.1);
-        assert_eq!(accepted.len(), 1);
-        assert_eq!(accepted[0].1, 0); // best candidate index
     }
 }

@@ -33,23 +33,19 @@ pub mod artifact;
 pub mod attrib;
 pub mod baseline;
 pub mod batch;
-pub mod calibrate;
 pub mod confidence;
 pub mod dataset;
 pub mod explain;
 pub mod linker;
-pub mod session;
 pub mod twostage;
 
 pub use artifact::FitArtifact;
 pub use attrib::CandidateIndex;
 pub use batch::{BatchConfig, BatchError, CheckpointSpec};
-pub use calibrate::{calibrate_threshold, Calibration};
 pub use confidence::MatchConfidence;
 pub use dataset::{Dataset, DatasetBuilder, Record};
 pub use explain::{explain_pair, MatchExplanation};
 pub use linker::{AliasMatch, Linker};
-pub use session::LinkSession;
 pub use twostage::{RankedMatch, TwoStage, TwoStageConfig};
 
 /// The paper's global similarity threshold (§IV-E).

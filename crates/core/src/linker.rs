@@ -179,20 +179,13 @@ impl Linker {
             .unwrap_or_else(|e| panic!("link failed: {e}"))
     }
 
-    /// Links two prepared datasets (see [`link`](Linker::link) for the
-    /// panic contract).
-    pub fn link_datasets(&self, known: &Dataset, unknown: &Dataset) -> Vec<AliasMatch> {
-        self.try_link_datasets(known, unknown)
-            .unwrap_or_else(|e| panic!("link failed: {e}"))
-    }
-
     /// [`link`](Linker::link) with typed errors: invalid batch configs
     /// and checkpoint failures surface as [`BatchError`] instead of
     /// panicking.
     ///
     /// # Errors
     ///
-    /// See [`run_batched_checkpointed`]; unbatched runs cannot fail.
+    /// See [`run_batched_governed`]; unbatched runs cannot fail.
     pub fn try_link(
         &self,
         known: &Corpus,

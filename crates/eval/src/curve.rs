@@ -258,6 +258,22 @@ mod tests {
         assert!(
             c.threshold_for_recall(0.99).is_none() || c.points().last().unwrap().recall >= 0.99
         );
+        // A higher target dips past the wrong match to the lower threshold.
+        let p75 = c.threshold_for_recall(0.75).unwrap();
+        assert_eq!(p75.threshold, 0.3);
+        assert!((p75.precision - 0.75).abs() < 1e-12);
+        // Every best match wrong: no target is ever reached.
+        let wrong = PrCurve::from_labeled(&[l(0.9, false), l(0.8, false)]);
+        assert!(wrong.threshold_for_recall(0.5).is_none());
+        // No unknown has its true author in the known set: recall is
+        // undefined and reads as zero, so no target is reached either.
+        let no_truth = PrCurve::from_labeled(&[LabeledScore {
+            score: 0.9,
+            correct: false,
+            has_truth: false,
+        }]);
+        assert_eq!(no_truth.positives(), 0);
+        assert!(no_truth.threshold_for_recall(0.5).is_none());
     }
 
     #[test]

@@ -22,12 +22,10 @@ pub mod plot;
 pub mod profiler;
 pub mod ranks;
 pub mod report;
-pub mod roc;
 pub mod verdict;
 
 pub use bootstrap::{precision_recall_interval, BootstrapConfig, Interval};
 pub use curve::PrCurve;
 pub use metrics::{accuracy_at_k, labeled_best_matches, LabeledScore};
 pub use ranks::RankHistogram;
-pub use roc::RocCurve;
 pub use verdict::{judge_pair, Verdict};

@@ -3,7 +3,6 @@
 use darklight_eval::bootstrap::{precision_recall_interval, BootstrapConfig};
 use darklight_eval::curve::PrCurve;
 use darklight_eval::metrics::{precision_recall_at, LabeledScore};
-use darklight_eval::roc::RocCurve;
 use proptest::prelude::*;
 
 fn labeled_strategy() -> impl Strategy<Value = Vec<LabeledScore>> {
@@ -58,24 +57,6 @@ proptest! {
                     prop_assert!(q.recall < target);
                 }
             }
-        }
-    }
-
-    /// ROC curves: TPR and FPR are monotone, bounded, and AUC ∈ [0, 1].
-    #[test]
-    fn roc_invariants(labeled in labeled_strategy()) {
-        let c = RocCurve::from_labeled(&labeled);
-        let mut prev = (0.0f64, 0.0f64);
-        for p in c.points() {
-            prop_assert!((0.0..=1.0).contains(&p.tpr));
-            prop_assert!((0.0..=1.0).contains(&p.fpr));
-            prop_assert!(p.tpr >= prev.0 - 1e-12);
-            prop_assert!(p.fpr >= prev.1 - 1e-12);
-            prev = (p.tpr, p.fpr);
-        }
-        prop_assert!((0.0..=1.0 + 1e-9).contains(&c.auc()));
-        if let Some((eer, _)) = c.equal_error_rate() {
-            prop_assert!((0.0..=1.0).contains(&eer));
         }
     }
 

@@ -89,12 +89,6 @@ impl FeatureConfig {
         self.activity_weight = 0.0;
         self
     }
-
-    /// Returns a copy with the given activity weight.
-    pub fn with_activity_weight(mut self, w: f32) -> FeatureConfig {
-        self.activity_weight = w;
-        self
-    }
 }
 
 impl Default for FeatureConfig {

@@ -191,11 +191,14 @@ impl SparseVector {
     }
 
     /// Appends `other` shifted by `offset` dimensions. All of `other`'s
-    /// indices must land strictly after this vector's last index.
+    /// indices must land strictly after this vector's last index. The
+    /// pipeline writes its blocks in place; this is the reference its
+    /// tests build vectors with.
     ///
     /// # Panics
     ///
     /// Panics if the shifted indices would not keep the vector sorted.
+    #[cfg(test)]
     pub fn concat(&mut self, other: &SparseVector, offset: u32) {
         if let (Some(&last), Some(&first)) = (self.indices.last(), other.indices.first()) {
             assert!(

@@ -7,7 +7,9 @@
 //! authors' Python stack builds on), with raw term counts as TF and L2
 //! normalization applied by the caller.
 
+#[cfg(test)]
 use crate::lexicon::TermCounts;
+#[cfg(test)]
 use crate::sparse::SparseVector;
 use crate::vocab::Vocabulary;
 
@@ -69,30 +71,10 @@ impl TfIdf {
 
     /// Vectorizes a document's term counts: `tf * idf` per selected term.
     /// Terms outside the vocabulary are ignored. The result is *not*
-    /// normalized — callers normalize after concatenating feature blocks.
-    ///
-    /// ```
-    /// use std::sync::Arc;
-    /// use darklight_features::lexicon::{Lexicon, TermCounts};
-    /// use darklight_features::tfidf::TfIdf;
-    /// use darklight_features::vocab::VocabBuilder;
-    ///
-    /// let mut lex = Lexicon::new();
-    /// let d1 = lex.count_in(["the", "the", "onion"].map(String::from));
-    /// let d2 = lex.count_in(["the", "market"].map(String::from));
-    /// let query = lex.count_in(["the", "onion", "onion"].map(String::from));
-    /// let lex = Arc::new(lex);
-    /// let mut b = VocabBuilder::new(Arc::clone(&lex));
-    /// b.add_doc(TermCounts::new(&lex, &d1));
-    /// b.add_doc(TermCounts::new(&lex, &d2));
-    /// let vocab = b.select_top(10);
-    /// let tfidf = TfIdf::fit(&vocab);
-    /// let v = tfidf.transform(&vocab, TermCounts::new(&lex, &query));
-    /// // "onion" (rare) outweighs "the" (ubiquitous) despite lower raw tf.
-    /// let onion = vocab.index_of("onion").unwrap();
-    /// let the = vocab.index_of("the").unwrap();
-    /// assert!(v.get(onion) > v.get(the));
-    /// ```
+    /// normalized. The pipeline writes these weights in place
+    /// (`FeatureSpace::vectorize_counted`); this copy is the reference its
+    /// tests compare against.
+    #[cfg(test)]
     pub fn transform(&self, vocab: &Vocabulary, counts: TermCounts<'_>) -> SparseVector {
         let mut pairs = Vec::with_capacity(counts.len().min(vocab.len()));
         vocab.for_each_selected(counts, |i, tf| {
@@ -154,6 +136,14 @@ mod tests {
         let ib = v.index_of("b").unwrap();
         assert!((dense[ia as usize] - 2.0 * t.idf(ia)).abs() < 1e-6);
         assert!((dense[ib as usize] - t.idf(ib)).abs() < 1e-6);
+        // A rare term outweighs a ubiquitous one despite a lower raw tf.
+        let (v, _, dense) = fit_corpus(
+            &[&["the", "the", "onion"], &["the", "market"]],
+            &["the", "onion", "onion"],
+        );
+        let onion = v.index_of("onion").unwrap() as usize;
+        let the = v.index_of("the").unwrap() as usize;
+        assert!(dense[onion] > dense[the]);
     }
 
     #[test]

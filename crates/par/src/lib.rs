@@ -33,10 +33,10 @@
 //! A panic inside a `par_map` closure unwinds its scoped thread and
 //! re-raises when the scope joins, killing the whole process mid-run —
 //! acceptable for a bug, ruinous for an hours-long attribution run felled
-//! by one poisoned record. [`try_par_map`] and [`try_par_map_chunks`]
-//! wrap every closure call in `catch_unwind`: a panicking item becomes an
-//! `Err(`[`WorkerPanic`]`)` slot carrying the item index and the panic
-//! payload, every other slot completes normally, and each caught panic
+//! by one poisoned record. [`try_par_map`] wraps every closure call in
+//! `catch_unwind`: a panicking item becomes an `Err(`[`WorkerPanic`]`)`
+//! slot carrying the item index and the panic payload, every other
+//! slot completes normally, and each caught panic
 //! increments the `par.worker_panics` counter of the metrics handle the
 //! caller passes in. Callers then choose the failure policy per stage:
 //! skip-and-record (drop the item, keep the run alive) or fail-fast
@@ -45,7 +45,7 @@
 //! The deterministic panic injection the resilience suite drives
 //! (`DARKLIGHT_FAULT_PANICS`) lives with the I/O fault hook in
 //! `darklight_govern::fault`; instrumented closures call it from inside
-//! these wrappers.
+//! the wrapper.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -245,10 +245,10 @@ where
 }
 
 /// A panic caught inside a worker closure, reported as the `Err` slot of
-/// [`try_par_map`] / [`try_par_map_chunks`].
+/// [`try_par_map`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkerPanic {
-    /// Index of the item (or shard) whose closure panicked.
+    /// Index of the item whose closure panicked.
     pub index: usize,
     /// The panic payload, stringified (`&str` and `String` payloads are
     /// preserved verbatim; anything else is a placeholder).
@@ -322,37 +322,6 @@ where
         }
     }
     out
-}
-
-/// Like [`par_map_chunks`], but each shard closure is isolated with
-/// `catch_unwind`; a panicking shard yields `Err(WorkerPanic)` (index =
-/// shard number) and increments `par.worker_panics`. Note the blast
-/// radius is the whole shard: callers that need per-item isolation should
-/// use [`try_par_map`].
-pub fn try_par_map_chunks<T, R, F>(
-    items: &[T],
-    threads: usize,
-    metrics: &PipelineMetrics,
-    f: F,
-) -> Vec<Result<R, WorkerPanic>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&[T]) -> R + Sync,
-{
-    let panics = metrics.counter("par.worker_panics");
-    let out = par_map_chunks(items, threads, |shard| {
-        catch_unwind(AssertUnwindSafe(|| f(shard))).map_err(payload_to_string)
-    });
-    out.into_iter()
-        .enumerate()
-        .map(|(i, r)| {
-            r.map_err(|payload| {
-                panics.incr();
-                WorkerPanic { index: i, payload }
-            })
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -459,21 +428,6 @@ mod tests {
             out[0].as_ref().unwrap_err().payload,
             "<non-string panic payload>"
         );
-    }
-
-    #[test]
-    fn try_par_map_chunks_isolates_whole_shards() {
-        let items: Vec<u64> = (1..=10).collect();
-        let metrics = PipelineMetrics::enabled();
-        let out = try_par_map_chunks(&items, 5, &metrics, |s| {
-            assert!(!s.contains(&4), "poisoned shard");
-            s.iter().sum::<u64>()
-        });
-        assert_eq!(out.len(), 5);
-        let sum: u64 = out.iter().filter_map(|r| r.as_ref().ok()).sum();
-        assert_eq!(sum, 55 - 3 - 4); // the (3, 4) shard is lost whole
-        assert_eq!(out.iter().filter(|r| r.is_err()).count(), 1);
-        assert_eq!(metrics.counter("par.worker_panics").get(), 1);
     }
 
     #[test]

@@ -82,6 +82,10 @@
 //! instead (printing a per-line report to stderr) and fails only when
 //! more than half the input is bad.
 //!
+//! Every subcommand checks its flags before it does any work: a flag it
+//! does not take is a usage error, and `--help` (or `-h`) after it
+//! prints the usage.
+//!
 //! Exit codes: 0 success, 1 data/IO error, 2 usage error.
 
 use darklight::activity::profile::{ProfileBuilder, ProfilePolicy};
@@ -118,22 +122,122 @@ fn data(msg: impl std::fmt::Display) -> CliError {
     CliError::Data(msg.to_string())
 }
 
+/// One subcommand: its entry point and every flag it takes.
+struct Command {
+    name: &'static str,
+    run: fn(&[String]) -> Result<(), CliError>,
+    flags: &'static [&'static str],
+}
+
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "gen",
+        run: cmd_gen,
+        flags: &["--scale", "--seed"],
+    },
+    Command {
+        name: "polish",
+        run: cmd_polish,
+        flags: &["--lenient", "--strict"],
+    },
+    Command {
+        name: "stats",
+        run: cmd_stats,
+        flags: &["--lenient", "--strict"],
+    },
+    Command {
+        name: "fit",
+        run: cmd_fit,
+        flags: &["--out", "--threads", "--metrics", "--lenient", "--strict"],
+    },
+    Command {
+        name: "link",
+        run: cmd_link,
+        flags: &[
+            "--artifact",
+            "--threshold",
+            "--k",
+            "--threads",
+            "--metrics",
+            "--lenient",
+            "--strict",
+            "--batch-size",
+            "--mem-budget",
+            "--deadline",
+            "--checkpoint",
+        ],
+    },
+    Command {
+        name: "profile",
+        run: cmd_profile,
+        flags: &[],
+    },
+    Command {
+        name: "obfuscate",
+        run: cmd_obfuscate,
+        flags: &[],
+    },
+    Command {
+        name: "bench-matrix",
+        run: cmd_bench_matrix,
+        flags: &[
+            "--out",
+            "--check",
+            "--scenarios",
+            "--scales",
+            "--seed",
+            "--threads",
+            "--mem-budget",
+            "--include-large",
+            "--throughput-tolerance",
+            "--f1-tolerance",
+        ],
+    },
+];
+
+impl Command {
+    /// Checks `args` before any work runs: `Ok(true)` when they ask for
+    /// help, a usage error naming the first flag this command does not
+    /// take.
+    fn check_flags(&self, args: &[String]) -> Result<bool, CliError> {
+        let mut tokens = args.iter().map(String::as_str);
+        while let Some(token) = tokens.next() {
+            if token == "--help" || token == "-h" {
+                return Ok(true);
+            }
+            if self.flags.contains(&token) {
+                if !SWITCHES.contains(&token) {
+                    tokens.next();
+                }
+            } else if token.len() > 1 && token.starts_with('-') {
+                return Err(usage(format!(
+                    "{} does not take {token:?}\n{USAGE}",
+                    self.name
+                )));
+            }
+        }
+        Ok(false)
+    }
+}
+
+/// Prints the usage; asking for it is a success.
+fn help() -> ExitCode {
+    eprintln!("{USAGE}");
+    ExitCode::SUCCESS
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
-        Some("gen") => cmd_gen(&args[1..]),
-        Some("polish") => cmd_polish(&args[1..]),
-        Some("stats") => cmd_stats(&args[1..]),
-        Some("fit") => cmd_fit(&args[1..]),
-        Some("link") => cmd_link(&args[1..]),
-        Some("profile") => cmd_profile(&args[1..]),
-        Some("obfuscate") => cmd_obfuscate(&args[1..]),
-        Some("bench-matrix") => cmd_bench_matrix(&args[1..]),
-        Some("--help") | Some("-h") | Some("help") | None => {
-            eprintln!("{}", USAGE);
-            return ExitCode::SUCCESS;
-        }
-        Some(other) => Err(usage(format!("unknown command {other:?}\n{USAGE}"))),
+        Some("--help") | Some("-h") | Some("help") | None => return help(),
+        Some(name) => match COMMANDS.iter().find(|c| c.name == name) {
+            Some(command) => match command.check_flags(&args[1..]) {
+                Ok(true) => return help(),
+                Ok(false) => (command.run)(&args[1..]),
+                Err(e) => Err(e),
+            },
+            None => Err(usage(format!("unknown command {name:?}\n{USAGE}"))),
+        },
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -166,8 +270,10 @@ const USAGE: &str =
        [--throughput-tolerance PCT] [--f1-tolerance PTS]\n\
 exit codes: 0 success, 1 data/io error (or failed bench-matrix --check), 2 usage error";
 
-/// Flags that take no value (everything else consumes the next token).
-const BOOL_FLAGS: &[&str] = &["--lenient", "--strict"];
+/// Flags that take no value; every other flag consumes the next token.
+/// (`--check` takes an optional directory, which passes the flag check
+/// like any token that is not a flag.)
+const SWITCHES: &[&str] = &["--lenient", "--strict", "--check", "--include-large"];
 
 fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
     args.iter()
@@ -189,7 +295,7 @@ fn positional(args: &[String], n: usize) -> Result<&str, CliError> {
             continue;
         }
         if a.starts_with("--") {
-            skip_next = !BOOL_FLAGS.contains(&a.as_str());
+            skip_next = !SWITCHES.contains(&a.as_str());
             continue;
         }
         if seen == n {

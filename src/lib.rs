@@ -30,7 +30,7 @@
 //!   stage routes through (deterministic indexed parallel map);
 //! * [`store`] — durable fit artifacts: a versioned, checksummed,
 //!   epoch-swapped container for persisted pipeline state (DESIGN.md §14);
-//! * [`bench`] — the experiment harness behind the `repro` binary and the
+//! * [`bench`](mod@bench) — the experiment harness behind the `repro` binary and the
 //!   `bench-matrix` scenario-matrix benchmark (DESIGN.md §12).
 //!
 //! # Quickstart

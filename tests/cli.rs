@@ -54,6 +54,55 @@ fn usage_errors_exit_2() {
 }
 
 #[test]
+fn unknown_flag_is_refused_before_any_io() {
+    // A misspelt --threshold must not link at the default threshold: the
+    // flag is refused before either (missing) corpus is opened.
+    let out = bin()
+        .args([
+            "link",
+            "missing_a.tsv",
+            "missing_b.tsv",
+            "--treshold",
+            "0.3",
+        ])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--treshold"));
+}
+
+#[test]
+fn subcommand_help_prints_usage_and_does_no_work() {
+    let dir = temp_dir("subcommand_help");
+    let out = bin()
+        .args(["bench-matrix", "--scales", "t", "--help"])
+        .current_dir(&dir)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
+    assert!(!dir.join("benchmarks").exists());
+    // A bare --check is still a flag bench-matrix takes: with no
+    // baselines in the working directory the gate fails (exit 1)
+    // without running the cell.
+    let out = bin()
+        .args([
+            "bench-matrix",
+            "--scenarios",
+            "clean",
+            "--scales",
+            "t",
+            "--check",
+        ])
+        .current_dir(&dir)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("missing baseline"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn data_errors_exit_1() {
     // Missing input file.
     let out = bin()

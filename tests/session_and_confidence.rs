@@ -1,9 +1,10 @@
-//! Integration: the investigator-facing APIs — persistent link sessions,
-//! confidence margins, and match explanations — on a full synthetic world.
+//! Integration: the investigator-facing APIs — single-alias queries
+//! served from a fit artifact, confidence margins, and match
+//! explanations — on a full synthetic world.
 
+use darklight::core::artifact::FitArtifact;
 use darklight::core::confidence::MatchConfidence;
 use darklight::core::explain::explain_pair;
-use darklight::core::session::LinkSession;
 use darklight::prelude::*;
 use darklight_bench::{prepare_world, World};
 use std::sync::OnceLock;
@@ -20,21 +21,40 @@ fn config() -> TwoStageConfig {
     }
 }
 
+/// An investigator probes one fixed known set with aliases as they
+/// surface: fit once, then serve each of the first eight DM originals on
+/// its own through `Linker::link_with_artifact`. Every query must pick
+/// the candidate a batch run over all unknowns picks, with the same
+/// score bits.
 #[test]
 fn session_queries_agree_with_batch_runs() {
     let w = world();
-    let known = w.tmg.originals.clone();
-    let session = LinkSession::new(config(), known.clone());
-    let engine = TwoStage::new(config());
-    let batch = engine.run(&known, &w.dm.originals);
-    for (u, record) in w.dm.originals.records.iter().enumerate().take(8) {
-        let single = session.query_record(record);
+    let known = &w.tmg.originals;
+    let artifact = FitArtifact::fit(&config(), known.clone());
+    let batch = TwoStage::new(config()).run(known, &w.dm.originals);
+    let linker = Linker::new(LinkerConfig {
+        // Every best match is emitted, whatever its score.
+        two_stage: TwoStageConfig {
+            threshold: f64::NEG_INFINITY,
+            ..config()
+        },
+        already_polished: true,
+        ..LinkerConfig::default()
+    });
+    for (u, user) in w.dm.originals_corpus.users.iter().enumerate().take(8) {
+        assert_eq!(user.alias, w.dm.originals.records[u].alias);
+        let mut query = Corpus::new("query");
+        query.users.push(user.clone());
+        let served = linker.link_with_artifact(&artifact, &query);
+        let best = batch[u].best().expect("every DM original has candidates");
+        assert_eq!(served.len(), 1, "one query yields one pair");
         assert_eq!(
-            batch[u].best().map(|r| r.index),
-            single.best().map(|r| r.index),
+            known.index_of(&served[0].known_alias),
+            Some(best.index),
             "disagreement on {}",
-            record.alias
+            user.alias
         );
+        assert_eq!(served[0].score.to_bits(), best.score.to_bits());
     }
 }
 
