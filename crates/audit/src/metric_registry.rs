@@ -31,14 +31,6 @@ pub const METRIC_REGISTRY: &[&str] = &[
     "batch.rounds",
     "batch.stalled",
     "batch.total",
-    "bench.cells_run",
-    "bench.known_aliases",
-    "bench.link_parallel",
-    "bench.link_serial",
-    "bench.messages",
-    "bench.positives",
-    "bench.unknown_aliases",
-    "bench.world_prep",
     "dataset.build",
     "dataset.records_built",
     "dataset.threads",

@@ -67,10 +67,8 @@ impl Ctx {
     pub fn global_threshold(&self) -> f64 {
         *self.threshold.get_or_init(|| {
             let (w1, _) = self.w_splits();
-            let curve = self.curve_for(&self.world.reddit.originals, &w1);
-            curve
-                .threshold_for_recall(0.80)
-                .or_else(|| curve.best_f1())
+            self.curve_for(&self.world.reddit.originals, &w1)
+                .operating_point(0.80)
                 .map(|p| p.threshold)
                 .unwrap_or(crate::PAPER_THRESHOLD_FALLBACK)
         })
@@ -796,16 +794,20 @@ pub fn explain_best_match(ctx: &Ctx) -> String {
 }
 
 /// Renders Figs. 1–5 as standalone SVG images into `dir`, returning a
-/// summary. Series are recomputed from the same pipelines as the table
+/// summary, or an error naming the path that could not be written.
+/// Series are recomputed from the same pipelines as the table
 /// experiments.
-pub fn render_figures(ctx: &Ctx, dir: &std::path::Path) -> String {
+pub fn render_figures(ctx: &Ctx, dir: &std::path::Path) -> Result<String, String> {
     use darklight_eval::plot::{pr_series, LineChart, Series};
-    std::fs::create_dir_all(dir).expect("create figure directory");
+    std::fs::create_dir_all(dir)
+        .map_err(|e| format!("cannot create figure directory {}: {e}", dir.display()))?;
     let mut written = Vec::new();
     let mut save = |name: &str, chart: LineChart| {
         let path = dir.join(name);
-        std::fs::write(&path, chart.to_svg()).expect("write svg");
+        std::fs::write(&path, chart.to_svg())
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
         written.push(name.to_string());
+        Ok::<(), String>(())
     };
 
     // Fig. 1 — CDF of words per user on the dark forums.
@@ -826,7 +828,7 @@ pub fn render_figures(ctx: &Ctx, dir: &std::path::Path) -> String {
                 cdf.iter().map(|p| (p.value as f64, p.fraction)).collect(),
             ));
         }
-        save("fig1.svg", chart);
+        save("fig1.svg", chart)?;
     }
 
     // Fig. 2 — PR curves for W1/W2.
@@ -837,7 +839,7 @@ pub fn render_figures(ctx: &Ctx, dir: &std::path::Path) -> String {
             .unit_axes()
             .with_series(pr_series("W1", &ctx.curve_for(reddit, &w1)))
             .with_series(pr_series("W2", &ctx.curve_for(reddit, &w2)));
-        save("fig2.svg", chart);
+        save("fig2.svg", chart)?;
     }
 
     // Fig. 3 — baselines (Standard vs Koppel vs ours) on a 300-alias probe.
@@ -865,7 +867,7 @@ pub fn render_figures(ctx: &Ctx, dir: &std::path::Path) -> String {
             .with_series(pr_series("Standard", &std_curve))
             .with_series(pr_series("Koppel (25 iter)", &kop_curve))
             .with_series(pr_series("Ours", &our_curve));
-        save("fig3.svg", chart);
+        save("fig3.svg", chart)?;
     }
 
     // Fig. 4 — accuracy vs k, text vs all, Reddit + DarkWeb panels.
@@ -905,7 +907,7 @@ pub fn render_figures(ctx: &Ctx, dir: &std::path::Path) -> String {
             )
             .with_series(series("text only", &text))
             .with_series(series("text + activity", &all));
-            save(file, chart);
+            save(file, chart)?;
         }
     }
 
@@ -947,7 +949,7 @@ pub fn render_figures(ctx: &Ctx, dir: &std::path::Path) -> String {
             .unit_axes()
             .with_series(pr_series("with reduction", &with))
             .with_series(pr_series("without reduction", &without));
-            save(file, chart);
+            save(file, chart)?;
         }
     }
 
@@ -955,7 +957,7 @@ pub fn render_figures(ctx: &Ctx, dir: &std::path::Path) -> String {
     for f in &written {
         let _ = writeln!(out, "* `{f}`");
     }
-    out
+    Ok(out)
 }
 
 /// Extension — how AUC scales with the candidate-pool size. The paper's

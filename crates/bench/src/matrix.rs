@@ -3,9 +3,9 @@
 //!
 //! Each matrix cell (a `(scenario, scale, seed)` triple from
 //! `darklight_synth::matrix`) runs the full governed pipeline — generate
-//! → polish → refine → datasets → batched two-stage link, serial then on
-//! the worker pool — and renders one `BENCH_<scenario>_<scale>.json`
-//! report with two sections of very different nature:
+//! → polish → refine → datasets → one timed batched two-stage link — and
+//! renders one `BENCH_<scenario>_<scale>.json` report with two sections
+//! of very different nature:
 //!
 //! * everything except `"throughput"` is **deterministic**: a function of
 //!   the cell spec and the code alone. `--check` compares these bytes
@@ -27,7 +27,7 @@ use darklight_corpus::model::Corpus;
 use darklight_corpus::polish::{PolishConfig, Polisher};
 use darklight_corpus::refine::refine;
 use darklight_eval::curve::PrCurve;
-use darklight_eval::metrics::{labeled_best_matches, precision_recall_at};
+use darklight_eval::metrics::{f1_score, labeled_best_matches, precision_recall_at};
 use darklight_govern::{GovernConfig, MemoryBudget};
 use darklight_obs::{Json, PipelineMetrics};
 use darklight_synth::matrix::CellSpec;
@@ -35,7 +35,7 @@ use darklight_synth::scenario::ScenarioBuilder;
 use std::time::Instant;
 
 /// Version stamp of the `BENCH_*.json` schema; bump on field changes.
-pub const BENCH_SCHEMA_VERSION: u64 = 1;
+pub const BENCH_SCHEMA_VERSION: u64 = 2;
 
 /// Default allowed throughput regression before `--check` fails (25%).
 pub const DEFAULT_THROUGHPUT_TOLERANCE: f64 = 0.25;
@@ -101,23 +101,15 @@ pub fn prepare_cell(spec: &CellSpec) -> PreparedCell {
 
 /// Runs one cell end to end and renders its report. The error case is an
 /// infeasible explicit memory budget.
+///
+/// The governed, instrumented link is timed once, at the resolved thread
+/// count. Only when that count is above 1 does a second, uninstrumented
+/// 1-thread run of the same config time the `speedup` baseline.
 pub fn run_cell(spec: &CellSpec, opts: &CellOptions) -> Result<Json, String> {
-    let metrics = PipelineMetrics::enabled();
     let t_prep = Instant::now();
     let prep = prepare_cell(spec);
     let prep_s = t_prep.elapsed().as_secs_f64();
-    metrics
-        .timer("bench.world_prep")
-        .record_ns(t_prep.elapsed().as_nanos() as u64);
-    metrics.counter("bench.cells_run").add(1);
-    metrics
-        .gauge("bench.known_aliases")
-        .set(prep.known.len() as i64);
-    metrics
-        .gauge("bench.unknown_aliases")
-        .set(prep.unknown.len() as i64);
     let messages = prep.known_corpus.total_posts() + prep.unknown_corpus.total_posts();
-    metrics.gauge("bench.messages").set(messages as i64);
 
     // The governed batch: an explicit budget derives the largest
     // admissible batch; without one, derive a budget that admits half
@@ -137,55 +129,42 @@ pub fn run_cell(spec: &CellSpec, opts: &CellOptions) -> Result<Json, String> {
     let batch = BatchConfig::derive(&budget, &prep.known, &prep.unknown)
         .map_err(|e| format!("cell {}: memory budget infeasible: {e}", spec.id()))?;
 
-    let serial_engine = TwoStage::new(TwoStageConfig {
-        threads: 1,
-        ..TwoStageConfig::default()
-    });
-    let t_serial = Instant::now();
-    let serial_ranked = run_batched(&serial_engine, &batch, &prep.known, &prep.unknown)
-        .map_err(|e| format!("cell {}: {e}", spec.id()))?;
-    let serial_s = t_serial.elapsed().as_secs_f64();
-    metrics
-        .timer("bench.link_serial")
-        .record_ns(t_serial.elapsed().as_nanos() as u64);
-
     let threads = darklight_par::resolve_threads(opts.threads);
-    let engine = TwoStage::new(TwoStageConfig {
-        metrics: metrics.clone(),
+    let config = TwoStageConfig {
         threads,
         govern: GovernConfig {
             budget: Some(budget),
             ..GovernConfig::default()
         },
         ..TwoStageConfig::default()
-    });
-    let t_par = Instant::now();
-    let ranked = run_batched(&engine, &batch, &prep.known, &prep.unknown)
-        .map_err(|e| format!("cell {}: {e}", spec.id()))?;
-    let parallel_s = t_par.elapsed().as_secs_f64();
-    metrics
-        .timer("bench.link_parallel")
-        .record_ns(t_par.elapsed().as_nanos() as u64);
-    debug_assert_eq!(serial_ranked, ranked, "thread-count parity violated");
+    };
+    let timed_link = |config: TwoStageConfig| {
+        let t = Instant::now();
+        run_batched(&TwoStage::new(config), &batch, &prep.known, &prep.unknown)
+            .map(|ranked| (ranked, t.elapsed().as_secs_f64()))
+            .map_err(|e| format!("cell {}: {e}", spec.id()))
+    };
+    let metrics = PipelineMetrics::enabled();
+    let (ranked, link_s) = timed_link(config.clone().with_metrics(metrics.clone()))?;
+    let link_1t_s = if threads > 1 {
+        let (serial_ranked, serial_s) = timed_link(TwoStageConfig {
+            threads: 1,
+            ..config
+        })?;
+        debug_assert_eq!(serial_ranked, ranked, "thread-count parity violated");
+        Some(serial_s)
+    } else {
+        None
+    };
 
-    // Accuracy at the per-cell calibrated threshold (highest threshold
-    // reaching 80% recall, else best F1 — the §IV-E rule).
+    // Accuracy at the per-cell calibrated threshold (the §IV-E rule).
     let labeled = labeled_best_matches(&ranked, &prep.known, &prep.unknown);
     let curve = PrCurve::from_labeled(&labeled);
     let threshold = curve
-        .threshold_for_recall(0.80)
-        .or_else(|| curve.best_f1())
+        .operating_point(0.80)
         .map(|p| p.threshold)
         .unwrap_or(crate::PAPER_THRESHOLD_FALLBACK);
     let (precision, recall) = precision_recall_at(&labeled, threshold);
-    let f1 = if precision + recall > 0.0 {
-        2.0 * precision * recall / (precision + recall)
-    } else {
-        0.0
-    };
-    metrics
-        .gauge("bench.positives")
-        .set(curve.positives() as i64);
 
     let mut cell = Json::object();
     cell.set("scenario", Json::Str(spec.kind.name().to_string()));
@@ -203,7 +182,7 @@ pub fn run_cell(spec: &CellSpec, opts: &CellOptions) -> Result<Json, String> {
     accuracy.set("threshold", Json::Float(threshold));
     accuracy.set("precision", Json::Float(precision));
     accuracy.set("recall", Json::Float(recall));
-    accuracy.set("f1", Json::Float(f1));
+    accuracy.set("f1", Json::Float(f1_score(precision, recall)));
     accuracy.set("pr_auc", Json::Float(curve.auc()));
 
     let mut govern = Json::object();
@@ -218,35 +197,23 @@ pub fn run_cell(spec: &CellSpec, opts: &CellOptions) -> Result<Json, String> {
         Json::UInt(metrics.counter("govern.batch_shrinks").get()),
     );
 
+    let ratio = |num: f64, den: f64| if den > 0.0 { num / den } else { 0.0 };
     let mut throughput = Json::object();
     throughput.set("threads", Json::UInt(threads as u64));
-    throughput.set("world_prep_s", Json::Float(prep_s));
-    throughput.set("serial_s", Json::Float(serial_s));
-    throughput.set("parallel_s", Json::Float(parallel_s));
     throughput.set(
-        "messages_per_sec_serial",
-        Json::Float(if serial_s > 0.0 {
-            messages as f64 / serial_s
-        } else {
-            0.0
-        }),
+        "available_parallelism",
+        Json::UInt(darklight_par::available_parallelism() as u64),
     );
+    throughput.set("world_prep_s", Json::Float(prep_s));
+    throughput.set("link_s", Json::Float(link_s));
     throughput.set(
         "messages_per_sec",
-        Json::Float(if parallel_s > 0.0 {
-            messages as f64 / parallel_s
-        } else {
-            0.0
-        }),
+        Json::Float(ratio(messages as f64, link_s)),
     );
-    throughput.set(
-        "speedup",
-        Json::Float(if parallel_s > 0.0 {
-            serial_s / parallel_s
-        } else {
-            0.0
-        }),
-    );
+    if let Some(link_1t_s) = link_1t_s {
+        throughput.set("link_1t_s", Json::Float(link_1t_s));
+        throughput.set("speedup", Json::Float(ratio(link_1t_s, link_s)));
+    }
 
     let mut root = Json::object();
     root.set("schema_version", Json::UInt(BENCH_SCHEMA_VERSION));
@@ -268,6 +235,17 @@ pub fn deterministic_view(report: &Json) -> Json {
             Json::Object(out)
         }
         other => other.clone(),
+    }
+}
+
+/// The thread count a baseline report was captured at, so `--check`
+/// times the cell the same way. `None` when the baseline does not parse
+/// or states no `throughput.threads`.
+pub fn baseline_threads(baseline_text: &str) -> Option<usize> {
+    let report = Json::parse(baseline_text).ok()?;
+    match report.get("throughput")?.get("threads")? {
+        Json::UInt(threads) => Some(*threads as usize),
+        _ => None,
     }
 }
 
@@ -313,8 +291,6 @@ pub enum CellVerdict {
     },
     /// Throughput fell more than the tolerance below baseline.
     ThroughputRegression {
-        /// Which axis regressed (`serial` / `parallel`).
-        axis: &'static str,
         /// Baseline messages/sec.
         baseline: f64,
         /// Current messages/sec.
@@ -356,12 +332,8 @@ impl CellCheck {
             CellVerdict::DeterminismMismatch { field } => {
                 format!("cell {}: FAIL determinism mismatch at {field}", self.cell)
             }
-            CellVerdict::ThroughputRegression {
-                axis,
-                baseline,
-                current,
-            } => format!(
-                "cell {}: FAIL {axis} throughput regression: baseline {:.0} msg/s, \
+            CellVerdict::ThroughputRegression { baseline, current } => format!(
+                "cell {}: FAIL throughput regression: baseline {:.0} msg/s, \
                  current {:.0} msg/s",
                 self.cell, baseline, current
             ),
@@ -454,35 +426,31 @@ fn check_verdict(baseline_text: &str, current: &Json, tol: &CheckTolerance) -> C
         let field = diff_path(&det_base, &det_cur, "").unwrap_or_else(|| "<render>".to_string());
         return CellVerdict::DeterminismMismatch { field };
     }
-    for (axis, key) in [
-        ("serial", "messages_per_sec_serial"),
-        ("parallel", "messages_per_sec"),
-    ] {
-        let base = as_f64(baseline.get("throughput").and_then(|t| t.get(key)));
-        let cur = as_f64(current.get("throughput").and_then(|t| t.get(key)));
-        if let (Some(b), Some(c)) = (base, cur) {
-            if c < b * (1.0 - tol.throughput) {
-                return CellVerdict::ThroughputRegression {
-                    axis,
-                    baseline: b,
-                    current: c,
-                };
-            }
-        }
+    let rate = |report: &Json| {
+        as_f64(
+            report
+                .get("throughput")
+                .and_then(|t| t.get("messages_per_sec")),
+        )
+    };
+    match (rate(&baseline), rate(current)) {
+        (Some(b), Some(c)) if c < b * (1.0 - tol.throughput) => CellVerdict::ThroughputRegression {
+            baseline: b,
+            current: c,
+        },
+        _ => CellVerdict::Pass,
     }
-    CellVerdict::Pass
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn report(f1: f64, msgs_serial: f64, msgs_par: f64) -> Json {
+    fn report(f1: f64, msgs_per_sec: f64) -> Json {
         let mut accuracy = Json::object();
         accuracy.set("f1", Json::Float(f1));
         let mut throughput = Json::object();
-        throughput.set("messages_per_sec_serial", Json::Float(msgs_serial));
-        throughput.set("messages_per_sec", Json::Float(msgs_par));
+        throughput.set("messages_per_sec", Json::Float(msgs_per_sec));
         let mut root = Json::object();
         root.set("schema_version", Json::UInt(BENCH_SCHEMA_VERSION));
         root.set("accuracy", accuracy);
@@ -492,7 +460,7 @@ mod tests {
 
     #[test]
     fn identical_reports_pass() {
-        let r = report(0.9, 100.0, 300.0);
+        let r = report(0.9, 300.0);
         let check = check_cell(
             "clean_t",
             &r.render_pretty(),
@@ -504,17 +472,16 @@ mod tests {
 
     #[test]
     fn throughput_within_tolerance_passes_beyond_fails() {
-        let base = report(0.9, 100.0, 300.0);
+        let base = report(0.9, 300.0);
         let tol = CheckTolerance::default();
-        let slower_ok = report(0.9, 80.0, 240.0);
+        let slower_ok = report(0.9, 240.0);
         assert!(check_cell("c", &base.render(), &slower_ok, &tol)
             .verdict
             .passed());
-        let slower_bad = report(0.9, 100.0, 200.0);
+        let slower_bad = report(0.9, 200.0);
         assert_eq!(
             check_cell("c", &base.render(), &slower_bad, &tol).verdict,
             CellVerdict::ThroughputRegression {
-                axis: "parallel",
                 baseline: 300.0,
                 current: 200.0
             }
@@ -523,8 +490,8 @@ mod tests {
 
     #[test]
     fn f1_drop_beats_generic_mismatch() {
-        let base = report(0.9, 100.0, 300.0);
-        let worse = report(0.8, 100.0, 300.0);
+        let base = report(0.9, 300.0);
+        let worse = report(0.8, 300.0);
         match check_cell("c", &base.render(), &worse, &CheckTolerance::default()).verdict {
             CellVerdict::F1Drop { baseline, current } => {
                 assert_eq!(baseline, 0.9);
@@ -536,8 +503,8 @@ mod tests {
 
     #[test]
     fn f1_gain_is_a_determinism_mismatch_not_a_drop() {
-        let base = report(0.8, 100.0, 300.0);
-        let better = report(0.9, 100.0, 300.0);
+        let base = report(0.8, 300.0);
+        let better = report(0.9, 300.0);
         assert_eq!(
             check_cell("c", &base.render(), &better, &CheckTolerance::default()).verdict,
             CellVerdict::DeterminismMismatch {
@@ -548,7 +515,7 @@ mod tests {
 
     #[test]
     fn bad_baseline_is_schema_mismatch() {
-        let cur = report(0.9, 100.0, 300.0);
+        let cur = report(0.9, 300.0);
         match check_cell("c", "not json", &cur, &CheckTolerance::default()).verdict {
             CellVerdict::SchemaMismatch(_) => {}
             other => panic!("expected SchemaMismatch, got {other:?}"),
@@ -557,7 +524,7 @@ mod tests {
 
     #[test]
     fn deterministic_view_strips_only_throughput() {
-        let r = report(0.9, 100.0, 300.0);
+        let r = report(0.9, 300.0);
         let det = deterministic_view(&r);
         assert!(det.get("throughput").is_none());
         assert!(det.get("accuracy").is_some());

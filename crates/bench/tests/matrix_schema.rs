@@ -1,9 +1,10 @@
 //! Golden pin of the `BENCH_*.json` schema (every key, per section) and
 //! a structural audit of the committed baseline trajectory under
 //! `benchmarks/`: at least the full scenario set at two scales, each file
-//! parseable with the full throughput and accuracy sections.
+//! parseable with the full throughput and accuracy sections, and a
+//! `speedup` exactly when its link ran on more than one thread.
 
-use darklight_bench::matrix::{run_cell, CellOptions, BENCH_SCHEMA_VERSION};
+use darklight_bench::matrix::{deterministic_view, run_cell, CellOptions, BENCH_SCHEMA_VERSION};
 use darklight_obs::Json;
 use darklight_synth::matrix::{CellSpec, MatrixScale, ScenarioKind};
 use std::path::PathBuf;
@@ -14,10 +15,20 @@ fn section<'a>(report: &'a Json, key: &str) -> &'a Json {
         .unwrap_or_else(|| panic!("report missing section {key:?}"))
 }
 
+/// Runs the tiny clean cell at an explicit thread count, so the pinned
+/// keys do not depend on the machine or on `DARKLIGHT_THREADS`.
+fn tiny_report(threads: usize) -> Json {
+    let spec = CellSpec::new(ScenarioKind::Clean, MatrixScale::Tiny);
+    let opts = CellOptions {
+        threads,
+        ..CellOptions::default()
+    };
+    run_cell(&spec, &opts).expect("tiny cell runs")
+}
+
 #[test]
 fn report_schema_is_pinned() {
-    let spec = CellSpec::new(ScenarioKind::Clean, MatrixScale::Tiny);
-    let report = run_cell(&spec, &CellOptions::default()).expect("tiny cell runs");
+    let report = tiny_report(1);
 
     assert_eq!(
         report.keys(),
@@ -62,23 +73,53 @@ fn report_schema_is_pinned() {
             "mem_budget_bytes"
         ]
     );
+    // One timed link at one thread: no speedup to report.
     assert_eq!(
         section(&report, "throughput").keys(),
         [
+            "available_parallelism",
+            "link_s",
             "messages_per_sec",
-            "messages_per_sec_serial",
-            "parallel_s",
-            "serial_s",
-            "speedup",
             "threads",
             "world_prep_s"
         ]
+    );
+    assert_eq!(
+        section(&report, "throughput").get("threads"),
+        Some(&Json::UInt(1))
     );
 
     // The rendering is stable: parse(render) == original, so committed
     // baselines can be byte-compared against fresh renders.
     let reparsed = Json::parse(&report.render_pretty()).expect("self-render parses");
     assert_eq!(reparsed.render(), report.render());
+}
+
+#[test]
+fn multi_thread_report_adds_the_one_thread_run_and_speedup() {
+    let report = tiny_report(2);
+    assert_eq!(
+        section(&report, "throughput").keys(),
+        [
+            "available_parallelism",
+            "link_1t_s",
+            "link_s",
+            "messages_per_sec",
+            "speedup",
+            "threads",
+            "world_prep_s"
+        ]
+    );
+    assert_eq!(
+        section(&report, "throughput").get("threads"),
+        Some(&Json::UInt(2))
+    );
+    // The thread count is wall-clock only: every deterministic section
+    // matches the 1-thread report byte for byte.
+    assert_eq!(
+        deterministic_view(&report).render(),
+        deterministic_view(&tiny_report(1)).render()
+    );
 }
 
 fn committed_benchmarks_dir() -> PathBuf {
@@ -113,13 +154,23 @@ fn committed_baseline_trajectory_is_complete_and_well_formed() {
                     path.display()
                 );
             }
-            for key in ["messages_per_sec", "messages_per_sec_serial", "speedup"] {
+            let throughput = section(&report, "throughput");
+            for key in ["link_s", "messages_per_sec", "world_prep_s"] {
                 assert!(
-                    matches!(
-                        section(&report, "throughput").get(key),
-                        Some(Json::Float(_))
-                    ),
+                    matches!(throughput.get(key), Some(Json::Float(_))),
                     "{}: throughput.{key}",
+                    path.display()
+                );
+            }
+            // A speedup is reported exactly when more than one thread ran.
+            let Some(Json::UInt(threads)) = throughput.get("threads") else {
+                panic!("{}: throughput.threads", path.display());
+            };
+            for key in ["link_1t_s", "speedup"] {
+                assert_eq!(
+                    matches!(throughput.get(key), Some(Json::Float(_))),
+                    *threads > 1,
+                    "{}: throughput.{key} at {threads} thread(s)",
                     path.display()
                 );
             }

@@ -7,7 +7,7 @@
 //! build it from labeled best-match scores, then query points, AUC, or the
 //! threshold achieving a target recall.
 
-use crate::metrics::LabeledScore;
+use crate::metrics::{f1_score, LabeledScore};
 
 /// One point of a precision-recall curve.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -123,6 +123,7 @@ impl PrCurve {
     /// The threshold maximizing F1 — a "good trade-off between precision
     /// and recall" selector.
     pub fn best_f1(&self) -> Option<PrPoint> {
+        let f1 = |p: &PrPoint| f1_score(p.precision, p.recall);
         self.points
             .iter()
             .max_by(|a, b| {
@@ -133,13 +134,11 @@ impl PrCurve {
             })
             .copied()
     }
-}
 
-fn f1(p: &PrPoint) -> f64 {
-    if p.precision + p.recall == 0.0 {
-        0.0
-    } else {
-        2.0 * p.precision * p.recall / (p.precision + p.recall)
+    /// The §IV-E operating point: the highest threshold reaching `target`
+    /// recall, else the best-F1 point. `None` only for an empty curve.
+    pub fn operating_point(&self, target: f64) -> Option<PrPoint> {
+        self.threshold_for_recall(target).or_else(|| self.best_f1())
     }
 }
 
@@ -274,6 +273,11 @@ mod tests {
         }]);
         assert_eq!(no_truth.positives(), 0);
         assert!(no_truth.threshold_for_recall(0.5).is_none());
+        // The operating point takes the recall target when the curve
+        // reaches it and falls back to the best-F1 point otherwise.
+        assert_eq!(c.operating_point(0.75), Some(p75));
+        assert_eq!(wrong.operating_point(0.5), wrong.best_f1());
+        assert!(PrCurve::from_labeled(&[]).operating_point(0.8).is_none());
     }
 
     #[test]

@@ -127,6 +127,16 @@ pub fn precision_recall_at(labeled: &[LabeledScore], threshold: f64) -> (f64, f6
     (precision, recall)
 }
 
+/// The F1 score: the harmonic mean of precision and recall, 0 when both
+/// are 0.
+pub fn f1_score(precision: f64, recall: f64) -> f64 {
+    if precision + recall > 0.0 {
+        2.0 * precision * recall / (precision + recall)
+    } else {
+        0.0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

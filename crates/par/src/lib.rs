@@ -63,12 +63,7 @@ pub const THREADS_ENV: &str = "DARKLIGHT_THREADS";
 ///
 /// * `requested > 0` — used as-is;
 /// * `requested == 0` — the `DARKLIGHT_THREADS` environment variable if
-///   set to a positive integer, otherwise
-///   [`std::thread::available_parallelism`];
-/// * detection failure — **1** (serial, always correct). The fallback is
-///   deliberately not a fixed pool size: a machine whose parallelism
-///   cannot be queried should degrade to the configuration whose output
-///   every parallel path is defined against, not to four phantom workers.
+///   set to a positive integer, otherwise [`available_parallelism`].
 pub fn resolve_threads(requested: usize) -> usize {
     if requested > 0 {
         return requested;
@@ -80,6 +75,15 @@ pub fn resolve_threads(requested: usize) -> usize {
             }
         }
     }
+    available_parallelism()
+}
+
+/// The machine's parallelism ([`std::thread::available_parallelism`]),
+/// or **1** (serial, always correct) when it cannot be queried. The
+/// fallback is deliberately not a fixed pool size: such a machine should
+/// degrade to the configuration whose output every parallel path is
+/// defined against, not to four phantom workers.
+pub fn available_parallelism() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)

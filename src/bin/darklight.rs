@@ -69,12 +69,13 @@
 //!     produces one BENCH_<scenario>_<scale>.json. Without --check the
 //!     reports are written into --out (default: benchmarks). With --check
 //!     the reports are instead compared against the baselines in DIR
-//!     (default: benchmarks): the deterministic sections must match
-//!     bit-for-bit, throughput may regress at most --throughput-tolerance
-//!     percent (default 25), F1 may drop at most --f1-tolerance points
-//!     (default 2); any failing cell prints a typed report line and the
-//!     command exits 1. Scales: t (test), s (~1k authors, the default),
-//!     m (~10k), l (opt-in via --include-large).
+//!     (default: benchmarks): each cell runs at the thread count its
+//!     baseline states (so --threads is refused there), the deterministic
+//!     sections must match bit-for-bit, throughput may regress at most
+//!     --throughput-tolerance percent (default 25), F1 may drop at most
+//!     --f1-tolerance points (default 2); any failing cell prints a typed
+//!     report line and the command exits 1. Scales: t (test), s (~1k
+//!     authors, the default), m (~10k), l (opt-in via --include-large).
 //! ```
 //!
 //! Corpus-reading commands default to **strict** ingestion: the first
@@ -82,16 +83,18 @@
 //! instead (printing a per-line report to stderr) and fails only when
 //! more than half the input is bad.
 //!
-//! Every subcommand checks its flags before it does any work: a flag it
-//! does not take is a usage error, and `--help` (or `-h`) after it
-//! prints the usage.
+//! Every subcommand checks its arguments before it does any work: a flag
+//! it does not take, a flag given twice, a flag without its value, and a
+//! missing or surplus operand are usage errors, and `--help` (or `-h`)
+//! after it prints the usage. A reader that closes stdout early (`| head`)
+//! ends the command quietly.
 //!
 //! Exit codes: 0 success, 1 data/IO error, 2 usage error.
 
 use darklight::activity::profile::{ProfileBuilder, ProfilePolicy};
 use darklight::core::artifact::FitArtifact;
 use darklight::core::batch::{BatchConfig, BatchError};
-use darklight::core::linker::{Linker, LinkerConfig};
+use darklight::core::linker::{AliasMatch, Linker, LinkerConfig};
 use darklight::corpus::io::{load_corpus, load_corpus_lenient, save_corpus, LenientConfig};
 use darklight::corpus::model::Corpus;
 use darklight::corpus::polish::{PolishConfig, Polisher};
@@ -104,14 +107,18 @@ use darklight::obs::PipelineMetrics;
 use darklight::store::EpochStore;
 use darklight::synth::scenario::{ScenarioBuilder, ScenarioConfig};
 use darklight::text::obfuscate::{ObfuscateConfig, Obfuscator};
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 /// A CLI failure, split by whose fault it is: `Usage` (bad invocation,
 /// exit 2) vs `Data` (the input or filesystem let us down, exit 1).
+/// `StdoutClosed` is no failure: the reader of stdout went away (`| head`),
+/// so the command ends quietly (exit 0).
 enum CliError {
     Usage(String),
     Data(String),
+    StdoutClosed,
 }
 
 fn usage(msg: impl std::fmt::Display) -> CliError {
@@ -122,10 +129,25 @@ fn data(msg: impl std::fmt::Display) -> CliError {
     CliError::Data(msg.to_string())
 }
 
+fn stdout_error(e: std::io::Error) -> CliError {
+    match e.kind() {
+        std::io::ErrorKind::BrokenPipe => CliError::StdoutClosed,
+        _ => data(format!("cannot write to stdout: {e}")),
+    }
+}
+
+/// `println!` that returns a [`CliError`] instead of panicking: every
+/// command prints its result through this one stdout writer.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        writeln!(std::io::stdout(), $($arg)*).map_err(stdout_error)?
+    };
+}
+
 /// One subcommand: its entry point and every flag it takes.
 struct Command {
     name: &'static str,
-    run: fn(&[String]) -> Result<(), CliError>,
+    run: fn(&Args) -> Result<(), CliError>,
     flags: &'static [&'static str],
 }
 
@@ -195,28 +217,90 @@ const COMMANDS: &[Command] = &[
     },
 ];
 
+/// A subcommand's arguments, split into flags and operands before any
+/// work runs.
+struct Args<'a> {
+    command: &'static str,
+    flags: Vec<(&'a str, Option<&'a str>)>,
+    operands: Vec<&'a str>,
+}
+
+fn is_flag(token: &str) -> bool {
+    token.len() > 1 && token.starts_with('-')
+}
+
 impl Command {
-    /// Checks `args` before any work runs: `Ok(true)` when they ask for
+    /// Splits `args` before any work runs: `Ok(None)` when they ask for
     /// help, a usage error naming the first flag this command does not
-    /// take.
-    fn check_flags(&self, args: &[String]) -> Result<bool, CliError> {
-        let mut tokens = args.iter().map(String::as_str);
+    /// take, takes twice, or takes without its value.
+    fn parse<'a>(&self, args: &'a [String]) -> Result<Option<Args<'a>>, CliError> {
+        let mut parsed = Args {
+            command: self.name,
+            flags: Vec::new(),
+            operands: Vec::new(),
+        };
+        let mut tokens = args.iter().map(String::as_str).peekable();
         while let Some(token) = tokens.next() {
             if token == "--help" || token == "-h" {
-                return Ok(true);
+                return Ok(None);
             }
-            if self.flags.contains(&token) {
-                if !SWITCHES.contains(&token) {
-                    tokens.next();
-                }
-            } else if token.len() > 1 && token.starts_with('-') {
+            if !is_flag(token) {
+                parsed.operands.push(token);
+                continue;
+            }
+            if !self.flags.contains(&token) {
                 return Err(usage(format!(
                     "{} does not take {token:?}\n{USAGE}",
                     self.name
                 )));
             }
+            if parsed.has(token) {
+                return Err(usage(format!("{token} given twice\n{USAGE}")));
+            }
+            let value = match token {
+                _ if SWITCHES.contains(&token) => None,
+                // `--check` takes an optional directory.
+                "--check" => tokens.next_if(|t| !is_flag(t)),
+                _ => Some(
+                    tokens
+                        .next()
+                        .ok_or_else(|| usage(format!("{token} requires a value\n{USAGE}")))?,
+                ),
+            };
+            parsed.flags.push((token, value));
         }
-        Ok(false)
+        Ok(Some(parsed))
+    }
+}
+
+impl<'a> Args<'a> {
+    fn value(&self, flag: &str) -> Option<&'a str> {
+        self.flags
+            .iter()
+            .find(|(f, _)| *f == flag)
+            .and_then(|(_, v)| *v)
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.flags.iter().any(|(f, _)| *f == flag)
+    }
+
+    /// The command's `N` operands; a usage error names the first missing
+    /// or surplus one.
+    fn operands<const N: usize>(&self) -> Result<[&'a str; N], CliError> {
+        if let Some(surplus) = self.operands.get(N) {
+            return Err(usage(format!(
+                "{} takes {N} operand(s), not also {surplus:?}\n{USAGE}",
+                self.command
+            )));
+        }
+        self.operands.as_slice().try_into().map_err(|_| {
+            usage(format!(
+                "{} is missing operand #{}\n{USAGE}",
+                self.command,
+                self.operands.len() + 1
+            ))
+        })
     }
 }
 
@@ -231,16 +315,16 @@ fn main() -> ExitCode {
     let result = match args.first().map(String::as_str) {
         Some("--help") | Some("-h") | Some("help") | None => return help(),
         Some(name) => match COMMANDS.iter().find(|c| c.name == name) {
-            Some(command) => match command.check_flags(&args[1..]) {
-                Ok(true) => return help(),
-                Ok(false) => (command.run)(&args[1..]),
+            Some(command) => match command.parse(&args[1..]) {
+                Ok(None) => return help(),
+                Ok(Some(parsed)) => (command.run)(&parsed),
                 Err(e) => Err(e),
             },
             None => Err(usage(format!("unknown command {name:?}\n{USAGE}"))),
         },
     };
     match result {
-        Ok(()) => ExitCode::SUCCESS,
+        Ok(()) | Err(CliError::StdoutClosed) => ExitCode::SUCCESS,
         Err(CliError::Data(e)) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
@@ -270,46 +354,14 @@ const USAGE: &str =
        [--throughput-tolerance PCT] [--f1-tolerance PTS]\n\
 exit codes: 0 success, 1 data/io error (or failed bench-matrix --check), 2 usage error";
 
-/// Flags that take no value; every other flag consumes the next token.
-/// (`--check` takes an optional directory, which passes the flag check
-/// like any token that is not a flag.)
-const SWITCHES: &[&str] = &["--lenient", "--strict", "--check", "--include-large"];
-
-fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
-
-fn has_flag(args: &[String], name: &str) -> bool {
-    args.iter().any(|a| a == name)
-}
-
-fn positional(args: &[String], n: usize) -> Result<&str, CliError> {
-    let mut seen = 0;
-    let mut skip_next = false;
-    for a in args {
-        if skip_next {
-            skip_next = false;
-            continue;
-        }
-        if a.starts_with("--") {
-            skip_next = !SWITCHES.contains(&a.as_str());
-            continue;
-        }
-        if seen == n {
-            return Ok(a);
-        }
-        seen += 1;
-    }
-    Err(usage(format!("missing argument #{}\n{USAGE}", n + 1)))
-}
+/// Flags that take no value; every other flag but `--check` consumes
+/// the next token.
+const SWITCHES: &[&str] = &["--lenient", "--strict", "--include-large"];
 
 /// Resolves `--lenient`/`--strict` (strict wins by default; both at once
 /// is a contradiction the user must resolve).
-fn lenient_mode(args: &[String]) -> Result<bool, CliError> {
-    match (has_flag(args, "--lenient"), has_flag(args, "--strict")) {
+fn lenient_mode(args: &Args) -> Result<bool, CliError> {
+    match (args.has("--lenient"), args.has("--strict")) {
         (true, true) => Err(usage("--lenient and --strict are mutually exclusive")),
         (lenient, _) => Ok(lenient),
     }
@@ -369,15 +421,67 @@ fn load_corpus_cli(
     Ok(corpus)
 }
 
-fn cmd_gen(args: &[String]) -> Result<(), CliError> {
-    let out_dir = positional(args, 0)?;
-    let mut config = match flag_value(args, "--scale") {
+/// The `--metrics` snapshot path, and the registry to record into:
+/// enabled only when a snapshot was asked for.
+fn metrics_flag<'a>(args: &Args<'a>) -> (Option<&'a str>, PipelineMetrics) {
+    match args.value("--metrics") {
+        Some(path) => (Some(path), PipelineMetrics::enabled()),
+        None => (None, PipelineMetrics::disabled()),
+    }
+}
+
+fn write_metrics(path: Option<&str>, metrics: &PipelineMetrics) -> Result<(), CliError> {
+    if let Some(path) = path {
+        std::fs::write(path, metrics.to_json_pretty()).map_err(data)?;
+        eprintln!("pipeline metrics written to {path}");
+    }
+    Ok(())
+}
+
+/// The linker settings shared by `fit` and both forms of `link`:
+/// `--threshold`, `--k` and `--threads`.
+fn linker_config(args: &Args) -> Result<LinkerConfig, CliError> {
+    let mut config = LinkerConfig::default();
+    if let Some(t) = args.value("--threshold") {
+        config.two_stage.threshold = t
+            .parse()
+            .map_err(|_| usage("--threshold must be a float"))?;
+    }
+    if let Some(k) = args.value("--k") {
+        config.two_stage.k = k.parse().map_err(|_| usage("--k must be an integer"))?;
+    }
+    if let Some(t) = args.value("--threads") {
+        config.two_stage.threads = t
+            .parse()
+            .map_err(|_| usage("--threads must be an integer (0 = auto)"))?;
+    }
+    Ok(config)
+}
+
+/// Prints the matched pairs as TSV (unknown_alias, known_alias, score)
+/// and writes the `--metrics` snapshot.
+fn report_links(
+    matches: &[AliasMatch],
+    linker: &Linker,
+    metrics_path: Option<&str>,
+) -> Result<(), CliError> {
+    outln!("unknown_alias\tknown_alias\tscore");
+    for m in matches {
+        outln!("{}\t{}\t{:.4}", m.unknown_alias, m.known_alias, m.score);
+    }
+    eprintln!("{} pair(s) emitted", matches.len());
+    write_metrics(metrics_path, linker.metrics())
+}
+
+fn cmd_gen(args: &Args) -> Result<(), CliError> {
+    let [out_dir] = args.operands()?;
+    let mut config = match args.value("--scale") {
         Some("small") | None => ScenarioConfig::small(),
         Some("default") => ScenarioConfig::default_scale(),
         Some("paper") => ScenarioConfig::paper_scale(),
         Some(other) => return Err(usage(format!("unknown scale {other:?}"))),
     };
-    if let Some(seed) = flag_value(args, "--seed") {
+    if let Some(seed) = args.value("--seed") {
         config.seed = seed
             .parse()
             .map_err(|_| usage("--seed must be an integer"))?;
@@ -397,9 +501,8 @@ fn cmd_gen(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_polish(args: &[String]) -> Result<(), CliError> {
-    let input = positional(args, 0)?;
-    let output = positional(args, 1)?;
+fn cmd_polish(args: &Args) -> Result<(), CliError> {
+    let [input, output] = args.operands()?;
     let lenient = lenient_mode(args)?;
     let corpus = load_corpus_cli(input, lenient, &PipelineMetrics::disabled())?;
     let (polished, report) = Polisher::new(PolishConfig::default()).polish(&corpus);
@@ -421,48 +524,36 @@ fn cmd_polish(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_stats(args: &[String]) -> Result<(), CliError> {
-    let input = positional(args, 0)?;
+fn cmd_stats(args: &Args) -> Result<(), CliError> {
+    let [input] = args.operands()?;
     let lenient = lenient_mode(args)?;
     let corpus = load_corpus_cli(input, lenient, &PipelineMetrics::disabled())?;
-    println!("corpus:  {}", corpus.name);
-    println!("users:   {}", corpus.len());
-    println!("posts:   {}", corpus.total_posts());
+    outln!("corpus:  {}", corpus.name);
+    outln!("users:   {}", corpus.len());
+    outln!("posts:   {}", corpus.total_posts());
     let cdf = words_per_user_cdf(&corpus);
-    println!("words-per-user CDF:");
+    outln!("words-per-user CDF:");
     for x in [100u64, 500, 1000, 1500, 3000, 5000, 10_000] {
-        println!("  <= {x:>6} words: {:.1}%", cdf_at(&cdf, x) * 100.0);
+        outln!("  <= {x:>6} words: {:.1}%", cdf_at(&cdf, x) * 100.0);
     }
     Ok(())
 }
 
-fn cmd_fit(args: &[String]) -> Result<(), CliError> {
-    let known_path = positional(args, 0)?;
-    let out_dir = flag_value(args, "--out")
+fn cmd_fit(args: &Args) -> Result<(), CliError> {
+    let [known_path] = args.operands()?;
+    let out_dir = args
+        .value("--out")
         .ok_or_else(|| usage(format!("fit requires --out <artifact-dir>\n{USAGE}")))?;
     let lenient = lenient_mode(args)?;
-    let metrics_path = flag_value(args, "--metrics");
-    let metrics = if metrics_path.is_some() {
-        PipelineMetrics::enabled()
-    } else {
-        PipelineMetrics::disabled()
-    };
-    let mut config = LinkerConfig::default();
-    if let Some(t) = flag_value(args, "--threads") {
-        config.two_stage.threads = t
-            .parse()
-            .map_err(|_| usage("--threads must be an integer (0 = auto)"))?;
-    }
+    let (metrics_path, metrics) = metrics_flag(args);
+    let config = linker_config(args)?;
     let known = load_corpus_cli(known_path, lenient, &metrics)?;
     eprintln!(
         "fitting {} known aliases (threads={})...",
         known.len(),
         config.two_stage.effective_threads(),
     );
-    let mut linker = Linker::new(config);
-    if metrics_path.is_some() {
-        linker = linker.with_metrics(metrics.clone());
-    }
+    let linker = Linker::new(config).with_metrics(metrics.clone());
     let artifact = linker.fit_artifact(&known);
     let store = EpochStore::new(out_dir).with_metrics(metrics);
     let epoch = artifact.save(&store).map_err(data)?;
@@ -471,17 +562,13 @@ fn cmd_fit(args: &[String]) -> Result<(), CliError> {
         artifact.known.len(),
         out_dir,
     );
-    if let Some(path) = metrics_path {
-        std::fs::write(path, linker.metrics().to_json_pretty()).map_err(data)?;
-        eprintln!("pipeline metrics written to {path}");
-    }
-    Ok(())
+    write_metrics(metrics_path, linker.metrics())
 }
 
 /// Serving half of the fit-once split: `link --artifact <dir> <unknown>`.
-fn cmd_link_artifact(args: &[String], artifact_dir: &str) -> Result<(), CliError> {
+fn cmd_link_artifact(args: &Args, artifact_dir: &str) -> Result<(), CliError> {
     for banned in ["--batch-size", "--mem-budget", "--deadline", "--checkpoint"] {
-        if has_flag(args, banned) {
+        if args.has(banned) {
             return Err(usage(format!(
                 "{banned} cannot be combined with --artifact: serving a fitted artifact \
                  is always unbatched (batching bounds the fit-side working set, which \
@@ -489,28 +576,10 @@ fn cmd_link_artifact(args: &[String], artifact_dir: &str) -> Result<(), CliError
             )));
         }
     }
-    let unknown_path = positional(args, 0)?;
+    let [unknown_path] = args.operands()?;
     let lenient = lenient_mode(args)?;
-    let metrics_path = flag_value(args, "--metrics");
-    let metrics = if metrics_path.is_some() {
-        PipelineMetrics::enabled()
-    } else {
-        PipelineMetrics::disabled()
-    };
-    let mut config = LinkerConfig::default();
-    if let Some(t) = flag_value(args, "--threshold") {
-        config.two_stage.threshold = t
-            .parse()
-            .map_err(|_| usage("--threshold must be a float"))?;
-    }
-    if let Some(k) = flag_value(args, "--k") {
-        config.two_stage.k = k.parse().map_err(|_| usage("--k must be an integer"))?;
-    }
-    if let Some(t) = flag_value(args, "--threads") {
-        config.two_stage.threads = t
-            .parse()
-            .map_err(|_| usage("--threads must be an integer (0 = auto)"))?;
-    }
+    let (metrics_path, metrics) = metrics_flag(args);
+    let config = linker_config(args)?;
     let threads = config.two_stage.effective_threads();
     let store = EpochStore::new(artifact_dir).with_metrics(metrics.clone());
     let (artifact, epoch) = FitArtifact::load(&store, threads).map_err(data)?;
@@ -524,58 +593,26 @@ fn cmd_link_artifact(args: &[String], artifact_dir: &str) -> Result<(), CliError
         config.two_stage.k,
         config.two_stage.threshold,
     );
-    let mut linker = Linker::new(config);
-    if metrics_path.is_some() {
-        linker = linker.with_metrics(metrics);
-    }
+    let linker = Linker::new(config).with_metrics(metrics);
     let matches = linker.link_with_artifact(&artifact, &unknown);
-    println!("unknown_alias\tknown_alias\tscore");
-    for m in &matches {
-        println!("{}\t{}\t{:.4}", m.unknown_alias, m.known_alias, m.score);
-    }
-    eprintln!("{} pair(s) emitted", matches.len());
-    if let Some(path) = metrics_path {
-        std::fs::write(path, linker.metrics().to_json_pretty()).map_err(data)?;
-        eprintln!("pipeline metrics written to {path}");
-    }
-    Ok(())
+    report_links(&matches, &linker, metrics_path)
 }
 
-fn cmd_link(args: &[String]) -> Result<(), CliError> {
-    if let Some(dir) = flag_value(args, "--artifact") {
-        let dir = dir.to_string();
-        return cmd_link_artifact(args, &dir);
+fn cmd_link(args: &Args) -> Result<(), CliError> {
+    if let Some(dir) = args.value("--artifact") {
+        return cmd_link_artifact(args, dir);
     }
-    let known_path = positional(args, 0)?;
-    let unknown_path = positional(args, 1)?;
+    let [known_path, unknown_path] = args.operands()?;
     let lenient = lenient_mode(args)?;
-    let metrics_path = flag_value(args, "--metrics");
-    let metrics = if metrics_path.is_some() {
-        PipelineMetrics::enabled()
-    } else {
-        PipelineMetrics::disabled()
-    };
-    let mut config = LinkerConfig::default();
-    if let Some(t) = flag_value(args, "--threshold") {
-        config.two_stage.threshold = t
-            .parse()
-            .map_err(|_| usage("--threshold must be a float"))?;
-    }
-    if let Some(k) = flag_value(args, "--k") {
-        config.two_stage.k = k.parse().map_err(|_| usage("--k must be an integer"))?;
-    }
-    if let Some(t) = flag_value(args, "--threads") {
-        config.two_stage.threads = t
-            .parse()
-            .map_err(|_| usage("--threads must be an integer (0 = auto)"))?;
-    }
-    if let Some(b) = flag_value(args, "--batch-size") {
+    let (metrics_path, metrics) = metrics_flag(args);
+    let mut config = linker_config(args)?;
+    if let Some(b) = args.value("--batch-size") {
         let batch_size = b
             .parse()
             .map_err(|_| usage("--batch-size must be an integer"))?;
         config.batch = Some(BatchConfig { batch_size });
     }
-    match flag_value(args, "--mem-budget") {
+    match args.value("--mem-budget") {
         Some(_) if config.batch.is_some() => {
             return Err(usage(
                 "--batch-size and --mem-budget are mutually exclusive: give an explicit \
@@ -590,7 +627,7 @@ fn cmd_link(args: &[String]) -> Result<(), CliError> {
         // (the pressure ladder shrinks rounds that would breach it).
         None => config.two_stage.govern.budget = MemoryBudget::from_env().map_err(usage)?,
     }
-    if let Some(p) = flag_value(args, "--checkpoint") {
+    if let Some(p) = args.value("--checkpoint") {
         // Checkpoints only exist for the batched driver; default to the
         // paper's B=100 when neither --batch-size nor --mem-budget was
         // given to pick one.
@@ -599,7 +636,7 @@ fn cmd_link(args: &[String]) -> Result<(), CliError> {
         }
         config.checkpoint = Some(PathBuf::from(p));
     }
-    if let Some(d) = flag_value(args, "--deadline") {
+    if let Some(d) = args.value("--deadline") {
         if config.batch.is_none() && config.two_stage.govern.budget.is_none() {
             return Err(usage(
                 "--deadline only bounds batched runs: add --batch-size, --mem-budget, \
@@ -622,40 +659,27 @@ fn cmd_link(args: &[String]) -> Result<(), CliError> {
         config.two_stage.threshold,
         config.two_stage.effective_threads(),
     );
-    let mut linker = Linker::new(config);
-    if metrics_path.is_some() {
-        linker = linker.with_metrics(metrics);
-    }
+    let linker = Linker::new(config).with_metrics(metrics);
     let matches = linker.try_link(&known, &unknown).map_err(|e| match e {
         BatchError::InvalidConfig(_) => usage(e),
         other => data(other),
     })?;
-    println!("unknown_alias\tknown_alias\tscore");
-    for m in &matches {
-        println!("{}\t{}\t{:.4}", m.unknown_alias, m.known_alias, m.score);
-    }
-    eprintln!("{} pair(s) emitted", matches.len());
-    if let Some(path) = metrics_path {
-        std::fs::write(path, linker.metrics().to_json_pretty()).map_err(data)?;
-        eprintln!("pipeline metrics written to {path}");
-    }
-    Ok(())
+    report_links(&matches, &linker, metrics_path)
 }
 
-fn cmd_profile(args: &[String]) -> Result<(), CliError> {
-    let input = positional(args, 0)?;
-    let alias = positional(args, 1)?;
+fn cmd_profile(args: &Args) -> Result<(), CliError> {
+    let [input, alias] = args.operands()?;
     let corpus = load_corpus(Path::new(input)).map_err(data)?;
     let user = corpus
         .user(alias)
         .ok_or_else(|| data(format!("alias {alias:?} not found in {input}")))?;
-    println!("alias:  {}", user.alias);
-    println!("posts:  {}", user.posts.len());
-    println!("words:  {}", user.total_words());
+    outln!("alias:  {}", user.alias);
+    outln!("posts:  {}", user.posts.len());
+    outln!("words:  {}", user.total_words());
     let builder = ProfileBuilder::new(ProfilePolicy::default());
     match builder.build(&user.timestamps()) {
         Ok(profile) => {
-            println!(
+            outln!(
                 "daily activity profile ({} usable posts, peak {:02}:00 UTC, entropy {:.2} bits):",
                 profile.total_posts(),
                 profile.peak_hour(),
@@ -663,23 +687,22 @@ fn cmd_profile(args: &[String]) -> Result<(), CliError> {
             );
             for h in 0..24 {
                 let bar = "#".repeat((profile.share(h) * 100.0).round() as usize);
-                println!("  {h:02}:00 {bar}");
+                outln!("  {h:02}:00 {bar}");
             }
         }
-        Err(e) => println!("daily activity profile: unavailable ({e})"),
+        Err(e) => outln!("daily activity profile: unavailable ({e})"),
     }
     let dossier = build_profile([user]);
     if dossier.fact_count() > 0 {
-        println!("\nleaked identity facts:\n{}", dossier.render());
+        outln!("\nleaked identity facts:\n{}", dossier.render());
     } else {
-        println!("\nno identity facts recorded for this alias.");
+        outln!("\nno identity facts recorded for this alias.");
     }
     Ok(())
 }
 
-fn cmd_obfuscate(args: &[String]) -> Result<(), CliError> {
-    let input = positional(args, 0)?;
-    let output = positional(args, 1)?;
+fn cmd_obfuscate(args: &Args) -> Result<(), CliError> {
+    let [input, output] = args.operands()?;
     let mut corpus = load_corpus(Path::new(input)).map_err(data)?;
     let obfuscator = Obfuscator::new(ObfuscateConfig::default());
     let mut posts = 0usize;
@@ -694,14 +717,15 @@ fn cmd_obfuscate(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_bench_matrix(args: &[String]) -> Result<(), CliError> {
+fn cmd_bench_matrix(args: &Args) -> Result<(), CliError> {
     use darklight_bench::matrix::{
-        check_cell, run_cell, CellOptions, CheckTolerance, DEFAULT_F1_TOLERANCE,
-        DEFAULT_THROUGHPUT_TOLERANCE,
+        baseline_threads, check_cell, run_cell, CellCheck, CellOptions, CellVerdict,
+        CheckTolerance, DEFAULT_F1_TOLERANCE, DEFAULT_THROUGHPUT_TOLERANCE,
     };
     use darklight_synth::matrix::{cells_for, MatrixScale, ScenarioKind, MATRIX_SEED};
 
-    let kinds: Vec<ScenarioKind> = match flag_value(args, "--scenarios") {
+    args.operands::<0>()?;
+    let kinds: Vec<ScenarioKind> = match args.value("--scenarios") {
         None => ScenarioKind::ALL.to_vec(),
         Some(list) => list
             .split(',')
@@ -711,7 +735,7 @@ fn cmd_bench_matrix(args: &[String]) -> Result<(), CliError> {
             })
             .collect::<Result<_, _>>()?,
     };
-    let scales: Vec<MatrixScale> = match flag_value(args, "--scales") {
+    let scales: Vec<MatrixScale> = match args.value("--scales") {
         None => vec![MatrixScale::Small],
         Some(list) => list
             .split(',')
@@ -721,7 +745,7 @@ fn cmd_bench_matrix(args: &[String]) -> Result<(), CliError> {
             })
             .collect::<Result<_, _>>()?,
     };
-    if !has_flag(args, "--include-large") {
+    if !args.has("--include-large") {
         if let Some(scale) = scales.iter().find(|s| s.opt_in()) {
             return Err(usage(format!(
                 "scale {:?} is opt-in: pass --include-large to run it",
@@ -729,21 +753,27 @@ fn cmd_bench_matrix(args: &[String]) -> Result<(), CliError> {
             )));
         }
     }
-    let seed: u64 = match flag_value(args, "--seed") {
+    let seed: u64 = match args.value("--seed") {
         None => MATRIX_SEED,
         Some(s) => s.parse().map_err(|_| usage("--seed must be an integer"))?,
     };
     let mut opts = CellOptions::default();
-    if let Some(t) = flag_value(args, "--threads") {
+    if let Some(t) = args.value("--threads") {
+        if args.has("--check") {
+            return Err(usage(
+                "--threads cannot be combined with --check: each cell runs at the thread \
+                 count its baseline was captured at",
+            ));
+        }
         opts.threads = t
             .parse()
             .map_err(|_| usage("--threads must be an integer (0 = auto)"))?;
     }
-    if let Some(s) = flag_value(args, "--mem-budget") {
+    if let Some(s) = args.value("--mem-budget") {
         opts.mem_budget = Some(MemoryBudget::parse(s).map_err(usage)?);
     }
     let tol = CheckTolerance {
-        throughput: match flag_value(args, "--throughput-tolerance") {
+        throughput: match args.value("--throughput-tolerance") {
             None => DEFAULT_THROUGHPUT_TOLERANCE,
             Some(p) => {
                 let pct: f64 = p
@@ -752,7 +782,7 @@ fn cmd_bench_matrix(args: &[String]) -> Result<(), CliError> {
                 pct / 100.0
             }
         },
-        f1: match flag_value(args, "--f1-tolerance") {
+        f1: match args.value("--f1-tolerance") {
             None => DEFAULT_F1_TOLERANCE,
             Some(p) => {
                 let pts: f64 = p
@@ -762,37 +792,36 @@ fn cmd_bench_matrix(args: &[String]) -> Result<(), CliError> {
             }
         },
     };
-    // `--check` takes an optional directory: bare `--check` compares
-    // against the committed default.
-    let check_dir: Option<String> =
-        args.iter()
-            .position(|a| a == "--check")
-            .map(|i| match args.get(i + 1) {
-                Some(v) if !v.starts_with("--") => v.clone(),
-                _ => "benchmarks".to_string(),
-            });
-    let out_dir = flag_value(args, "--out").unwrap_or("benchmarks");
 
     let cells = cells_for(&kinds, &scales, seed);
-    if let Some(dir) = check_dir {
+    if args.has("--check") {
+        // A bare `--check` compares against the committed default.
+        let dir = args.value("--check").unwrap_or("benchmarks");
         let mut failures = 0usize;
         for spec in &cells {
-            let path = Path::new(&dir).join(spec.file_name());
+            let path = Path::new(dir).join(spec.file_name());
+            let failed = |verdict| CellCheck {
+                cell: spec.id(),
+                verdict,
+            };
             let check = match std::fs::read_to_string(&path) {
-                Err(_) => darklight_bench::matrix::CellCheck {
-                    cell: spec.id(),
-                    verdict: darklight_bench::matrix::CellVerdict::MissingBaseline,
+                Err(_) => failed(CellVerdict::MissingBaseline),
+                Ok(baseline) => match baseline_threads(&baseline) {
+                    None => failed(CellVerdict::SchemaMismatch(
+                        "baseline states no throughput.threads".to_string(),
+                    )),
+                    Some(threads) => {
+                        eprintln!("[{}] running cell at {threads} thread(s)...", spec.id());
+                        let opts = CellOptions { threads, ..opts };
+                        let report = run_cell(spec, &opts).map_err(data)?;
+                        check_cell(&spec.id(), &baseline, &report, &tol)
+                    }
                 },
-                Ok(baseline) => {
-                    eprintln!("[{}] running cell...", spec.id());
-                    let report = run_cell(spec, &opts).map_err(data)?;
-                    check_cell(&spec.id(), &baseline, &report, &tol)
-                }
             };
             if !check.verdict.passed() {
                 failures += 1;
             }
-            println!("{}", check.render());
+            outln!("{}", check.render());
         }
         if failures > 0 {
             return Err(data(format!(
@@ -803,6 +832,7 @@ fn cmd_bench_matrix(args: &[String]) -> Result<(), CliError> {
         eprintln!("all {} cell(s) passed", cells.len());
         Ok(())
     } else {
+        let out_dir = args.value("--out").unwrap_or("benchmarks");
         std::fs::create_dir_all(out_dir).map_err(data)?;
         for spec in &cells {
             eprintln!("[{}] running cell...", spec.id());

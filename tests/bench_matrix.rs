@@ -1,7 +1,8 @@
 //! End-to-end pin of the `darklight bench-matrix` regression gate: a
 //! generated baseline reproduces bit-for-bit under `--check` (exit 0), a
 //! seeded perturbation fails the gate (exit 1) with a typed per-cell
-//! report, and a missing baseline fails without running the cell.
+//! report, each cell is checked at its baseline's thread count, and a
+//! missing baseline fails without running the cell.
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -84,6 +85,37 @@ fn roundtrip_check_passes_and_perturbation_fails() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("FAIL"), "stdout: {stdout}");
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn check_runs_each_cell_at_its_baselines_thread_count() {
+    let dir = temp_dir("threads");
+    let dir_s = dir.to_str().unwrap();
+    let cell = ["--scenarios", "clean", "--scales", "t"];
+    let out = bench_matrix(&[&cell[..], &["--threads", "2", "--out", dir_s]].concat());
+    assert!(out.status.success(), "write mode failed: {out:?}");
+
+    // A thread count of its own would time the cell unlike its baseline.
+    let out = bench_matrix(&[&cell[..], &["--threads", "4", "--check", dir_s]].concat());
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--threads"));
+
+    // Even with auto-sized pools pinned to one worker, the gate times
+    // the cell at the baseline's two threads.
+    let out = Command::new(env!("CARGO_BIN_EXE_darklight"))
+        .arg("bench-matrix")
+        .args(cell)
+        .args(["--throughput-tolerance", "90", "--check", dir_s])
+        .env("DARKLIGHT_THREADS", "1")
+        .output()
+        .expect("spawn darklight bench-matrix");
+    assert!(out.status.success(), "check must pass, got: {out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("[clean_t] running cell at 2 thread(s)"),
+        "stderr: {stderr}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

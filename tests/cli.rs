@@ -1,7 +1,7 @@
 //! Integration tests of the `darklight` CLI binary, driven through real
 //! process invocations on a temp directory.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn bin() -> Command {
@@ -12,6 +12,21 @@ fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("darklight_cli_{name}_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+/// A clean two-user corpus in `dir`, small enough to link in a blink.
+fn tiny_corpus(dir: &Path) -> String {
+    let path = dir.join("tiny.tsv");
+    std::fs::write(
+        &path,
+        "#darklight-corpus v1 tiny\n\
+         U\talice\t1\n\
+         P\t1486375200\tmisc\thello world from alice\n\
+         U\tbob\t2\n\
+         P\t1486375300\tmisc\tbob says hi\n",
+    )
+    .unwrap();
+    path.to_str().unwrap().to_string()
 }
 
 #[test]
@@ -69,6 +84,68 @@ fn unknown_flag_is_refused_before_any_io() {
         .unwrap();
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     assert!(String::from_utf8_lossy(&out.stderr).contains("--treshold"));
+}
+
+#[test]
+fn repeated_flag_is_refused_before_any_io() {
+    // Without the check the first --threshold silently wins.
+    let dir = temp_dir("repeated_flag");
+    let corpus = tiny_corpus(&dir);
+    let out = bin()
+        .args([
+            "link",
+            &corpus,
+            &corpus,
+            "--threshold",
+            "0.3",
+            "--threshold",
+            "0.99",
+        ])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--threshold given twice"), "{stderr}");
+    assert!(!stderr.contains("linking"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn surplus_operand_is_refused_before_any_io() {
+    // Without the check the second corpus is silently ignored.
+    let dir = temp_dir("surplus_operand");
+    let corpus = tiny_corpus(&dir);
+    let out = bin().args(["stats", &corpus, "dm.tsv"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("\"dm.tsv\""));
+    assert!(out.stdout.is_empty(), "{out:?}");
+    // `link --artifact` takes one operand where `link` takes two.
+    let out = bin()
+        .args(["link", "--artifact", "store", "a.tsv", "b.tsv"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("\"b.tsv\""));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn closed_stdout_ends_the_command_quietly() {
+    // The reader of stdout is gone before the first write (`| head`
+    // after it has read its fill).
+    let dir = temp_dir("closed_stdout");
+    let corpus = tiny_corpus(&dir);
+    let (reader, writer) = std::io::pipe().unwrap();
+    drop(reader);
+    let out = bin()
+        .args(["stats", &corpus])
+        .stdout(writer)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

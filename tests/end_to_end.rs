@@ -122,10 +122,7 @@ fn threshold_transfers_across_forums() {
             &w.reddit.alter_egos,
         ))
     };
-    let Some(op) = reddit_curve
-        .threshold_for_recall(0.8)
-        .or_else(|| reddit_curve.best_f1())
-    else {
+    let Some(op) = reddit_curve.operating_point(0.8) else {
         panic!("no operating point found");
     };
     // Apply to TMG: precision should stay usable (the paper's claim is the
