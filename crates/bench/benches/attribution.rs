@@ -56,6 +56,7 @@ fn bench_batched(c: &mut Criterion) {
                     &BatchConfig { batch_size: 20 },
                     &w.reddit.originals,
                     &w.reddit.alter_egos,
+                    None,
                 )
                 .expect("valid batch config"),
             )

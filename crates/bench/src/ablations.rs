@@ -162,8 +162,14 @@ pub fn batch_size_sweep(ctx: &Ctx) -> String {
         if b >= known.len() {
             continue;
         }
-        let batched = run_batched(&engine, &BatchConfig { batch_size: b }, known, &sample)
-            .expect("valid batch config");
+        let batched = run_batched(
+            &engine,
+            &BatchConfig { batch_size: b },
+            known,
+            &sample,
+            None,
+        )
+        .expect("valid batch config");
         let agree = reference
             .iter()
             .zip(&batched)

@@ -528,8 +528,8 @@ pub fn batch_experiment(ctx: &Ctx, batch_size: usize) -> String {
     let (w1, _) = ctx.w_splits();
     let engine = ctx.engine();
     let unbatched = engine.run(known, &w1);
-    let batched =
-        run_batched(&engine, &BatchConfig { batch_size }, known, &w1).expect("valid batch config");
+    let batched = run_batched(&engine, &BatchConfig { batch_size }, known, &w1, None)
+        .expect("valid batch config");
     let mut t = Table::new(["Mode", "Precision", "Recall"]);
     for (name, results) in [
         ("unbatched", &unbatched),

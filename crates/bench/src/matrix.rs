@@ -140,9 +140,15 @@ pub fn run_cell(spec: &CellSpec, opts: &CellOptions) -> Result<Json, String> {
     };
     let timed_link = |config: TwoStageConfig| {
         let t = Instant::now();
-        run_batched(&TwoStage::new(config), &batch, &prep.known, &prep.unknown)
-            .map(|ranked| (ranked, t.elapsed().as_secs_f64()))
-            .map_err(|e| format!("cell {}: {e}", spec.id()))
+        run_batched(
+            &TwoStage::new(config),
+            &batch,
+            &prep.known,
+            &prep.unknown,
+            None,
+        )
+        .map(|ranked| (ranked, t.elapsed().as_secs_f64()))
+        .map_err(|e| format!("cell {}: {e}", spec.id()))
     };
     let metrics = PipelineMetrics::enabled();
     let (ranked, link_s) = timed_link(config.clone().with_metrics(metrics.clone()))?;

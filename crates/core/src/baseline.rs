@@ -11,6 +11,7 @@
 
 use crate::attrib::{top_k_of, CandidateIndex, Ranked};
 use crate::dataset::Dataset;
+use crate::twostage::Unknowns;
 use darklight_features::lexicon::{Lexicon, TermCounts};
 use darklight_features::ngram::char_ngrams_free_space;
 use darklight_features::pipeline::{FeatureConfig, FeatureExtractor};
@@ -119,7 +120,7 @@ impl KoppelBaseline {
     /// Runs the vote procedure; per unknown, every known alias ranked by
     /// normalized vote share (best first).
     pub fn run(&self, known: &Dataset, unknown: &Dataset) -> Vec<Vec<Ranked>> {
-        let unknown = unknown.rebased_onto(known.lexicon());
+        let unknowns = Unknowns::new(unknown, known.lexicon());
         let space = FeatureExtractor::new(self.features.clone())
             .fit_counted(known.records.iter().map(|r| &r.counted));
         let known_vecs: Vec<SparseVector> = known
@@ -127,10 +128,10 @@ impl KoppelBaseline {
             .iter()
             .map(|r| space.vectorize_counted(&r.counted, r.profile.as_ref()))
             .collect();
-        let unknown_vecs: Vec<SparseVector> = unknown
-            .records
+        let unknown_vecs: Vec<SparseVector> = unknowns
+            .views()
             .iter()
-            .map(|r| space.vectorize_counted(&r.counted, r.profile.as_ref()))
+            .map(|d| space.vectorize_counted(d.counted, d.profile))
             .collect();
         let dim = space.dim();
         let mut votes: Vec<Vec<u32>> = vec![vec![0; known.len()]; unknown.len()];

@@ -7,23 +7,32 @@
 //! the paper with `B = 100`, giving precision 91% / recall 81% at the
 //! global threshold — within a few points of the unbatched pipeline.
 //!
+//! [`run_batched`] is the one entry point. Its unit of work is a *pool
+//! group*: the unknowns that currently hold an identical candidate pool.
+//! Every unknown starts with the whole known set, so round one is a
+//! single group; as pools diverge the groups split. A round maps each
+//! group through its batches independently, and the final step fits
+//! stage 1 once per distinct pool and queries every unknown of the group
+//! in it — the same fits and queries a per-unknown driver makes, without
+//! repeating a fit for unknowns that share a pool.
+//!
 //! Long batched runs are exactly the ones that get killed mid-flight, so
-//! [`run_batched_checkpointed`] persists the survivor pools after every
-//! round and resumes from the last completed round. A checkpoint is a
-//! `darklight-store` container — the format fit artifacts use — holding
-//! the run fingerprint in its CRC-checked header and one section with
-//! the schema version, the rounds completed and every unknown's pool. A
-//! torn, truncated or bit-flipped checkpoint therefore fails its CRC and
-//! is refused with a typed error, never resumed. Resumption is refused,
-//! too, when the run fingerprint — config plus dataset contents — does
-//! not match the checkpoint, because stale pools against a changed
-//! corpus would rank confidently and wrongly.
+//! given a checkpoint path [`run_batched`] persists the survivor pools
+//! after every round and resumes from the last completed round. A
+//! checkpoint is a `darklight-store` container — the format fit
+//! artifacts use — holding the run fingerprint in its CRC-checked header
+//! and one section with the schema version, the rounds completed and
+//! every unknown's pool. A torn, truncated or bit-flipped checkpoint
+//! therefore fails its CRC and is refused with a typed error, never
+//! resumed. Resumption is refused, too, when the run fingerprint —
+//! config plus dataset contents — does not match the checkpoint, because
+//! stale pools against a changed corpus would rank confidently and
+//! wrongly.
 //!
 //! ## Resource governance
 //!
-//! Both entry points delegate to [`run_batched_governed`], which reads
-//! the engine's [`darklight_govern::GovernConfig`] and supervises the
-//! round loop:
+//! [`run_batched`] reads the engine's [`darklight_govern::GovernConfig`]
+//! and supervises the round loop:
 //!
 //! * **Budget** — [`BatchConfig::derive`] turns a byte budget into the
 //!   largest admissible `B` under a conservative cost model (the unknown
@@ -34,25 +43,26 @@
 //!   `govern.batch_shrinks` and `govern.bytes_estimated`. `B` never
 //!   grows back: shrinking is a memory-safety decision, re-growing
 //!   would make output depend on when pressure happened to ease.
-//! * **Deadline** — checked between rounds, between batches, and inside
-//!   the parallel fan-out's chunk loops. Expiry abandons the partial
-//!   round wholesale (so output stays thread-count-invariant) and
-//!   surfaces [`darklight_govern::GovernError::DeadlineExpired`] with
-//!   the last completed round's checkpoint intact on disk. The final
-//!   rescore, once reached, always runs to completion.
-//! * **Retries** — checkpoint saves/loads go through the governor's
-//!   jittered-backoff retry, seeded by the run fingerprint; only I/O
-//!   errors retry, corruption never does.
+//! * **Deadline** — checked between rounds, between pool groups, between
+//!   batches, and inside the parallel fan-out's chunk loops. Expiry
+//!   abandons the partial round wholesale (so output stays
+//!   thread-count-invariant) and surfaces
+//!   [`darklight_govern::GovernError::DeadlineExpired`] with the last
+//!   completed round's checkpoint intact on disk. The final step, once
+//!   reached, always runs to completion.
+//! * **Retries** — checkpoint saves/loads go through the default
+//!   jittered-backoff retry policy, seeded by the run fingerprint; only
+//!   I/O errors retry, corruption never does.
 
 use crate::attrib::Ranked;
 use crate::dataset::Dataset;
-use crate::twostage::{DocView, RankedMatch, TwoStage};
-use darklight_features::pipeline::CountedDoc;
+use crate::twostage::{DocView, RankedMatch, TwoStage, Unknowns};
 use darklight_govern::{
-    fault, with_retry, Deadline, EstimateBytes, Expired, GovernError, MemoryBudget,
+    fault, with_retry, Deadline, EstimateBytes, Expired, GovernError, MemoryBudget, RetryPolicy,
 };
 use darklight_store::codec::{Reader, Writer};
 use darklight_store::{read_container, write_container, Container, Fnv1a, StoreError, WriteSites};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -215,28 +225,6 @@ impl From<GovernError> for BatchError {
     }
 }
 
-/// Where a checkpointed run persists its state.
-#[derive(Debug, Clone)]
-pub struct CheckpointSpec {
-    /// Checkpoint file; written after every round, removed on success.
-    /// Its `.tmp` sibling is the in-flight write.
-    pub path: PathBuf,
-}
-
-impl CheckpointSpec {
-    /// A spec checkpointing at `path`.
-    pub fn new(path: impl Into<PathBuf>) -> CheckpointSpec {
-        CheckpointSpec { path: path.into() }
-    }
-
-    fn error(&self, error: StoreError) -> BatchError {
-        BatchError::Checkpoint {
-            path: self.path.clone(),
-            error,
-        }
-    }
-}
-
 /// Schema version of the checkpoint section — what its bytes mean; the
 /// container frames them with its own format version. Hashed into the
 /// run fingerprint.
@@ -334,100 +322,71 @@ fn is_transient(e: &StoreError) -> bool {
 }
 
 /// Runs the hierarchical batched pipeline: batched k-attribution rounds
-/// until the candidate pool fits one batch, then the standard second stage.
+/// until every candidate pool fits one batch, then the standard second
+/// stage. This is the one batched entry point, so it is the one place
+/// that validates the config (a zero batch size from a deserialized
+/// config could otherwise re-enter a non-terminating round loop) and
+/// consults the engine's governor (see the module docs).
 ///
-/// Delegates to [`run_batched_governed`] without a checkpoint; the
-/// engine's governor (budget/deadline) still applies.
+/// With a `checkpoint` path the survivor pools are persisted there after
+/// every round (its `.tmp` sibling is the in-flight write), a valid
+/// checkpoint found there is resumed instead of starting over, and the
+/// file is removed on success. Checkpoint I/O retries transient failures
+/// with backoff jitter seeded by the run fingerprint, so retried runs
+/// replay the same schedule.
 ///
 /// # Errors
 ///
-/// Returns [`BatchError::InvalidConfig`] when `config` fails validation,
-/// and [`BatchError::Govern`] when the engine's governor stops the run;
-/// no other error is possible without a checkpoint.
+/// [`BatchError::InvalidConfig`] when `config` fails validation, before
+/// any checkpoint I/O; [`BatchError::Checkpoint`] when the checkpoint
+/// cannot be read or written, is corrupt, or was written by a different
+/// run (config or corpus changed — delete the file to start fresh); and
+/// [`BatchError::Govern`] when the engine's governor stops the run
+/// (deadline expiry; budget infeasibility surfaces earlier, from
+/// [`BatchConfig::derive`]).
 pub fn run_batched(
     engine: &TwoStage,
     config: &BatchConfig,
     known: &Dataset,
     unknown: &Dataset,
-) -> Result<Vec<RankedMatch>, BatchError> {
-    run_batched_governed(engine, config, known, unknown, None)
-}
-
-/// [`run_batched`] with crash recovery: the survivor pools are persisted
-/// to `spec.path` after every round, and a valid checkpoint there is
-/// resumed instead of starting over. On success the checkpoint file is
-/// removed. Delegates to [`run_batched_governed`].
-///
-/// # Errors
-///
-/// Returns [`BatchError::InvalidConfig`] on a bad config;
-/// [`BatchError::Checkpoint`] when the checkpoint cannot be read or
-/// written, is corrupt, or was written by a different run (config or
-/// corpus changed — delete the file to start fresh); and
-/// [`BatchError::Govern`] when the engine's governor stops the run.
-pub fn run_batched_checkpointed(
-    engine: &TwoStage,
-    config: &BatchConfig,
-    known: &Dataset,
-    unknown: &Dataset,
-    spec: &CheckpointSpec,
-) -> Result<Vec<RankedMatch>, BatchError> {
-    run_batched_governed(engine, config, known, unknown, Some(spec))
-}
-
-/// The single batched driver: every entry point funnels here, so this is
-/// the one place that validates the config (a zero batch size from a
-/// deserialized config could otherwise re-enter a non-terminating round
-/// loop) and consults the engine's governor (see the module docs).
-///
-/// `spec` enables crash recovery; checkpoint I/O goes through the
-/// governor's retry policy with backoff jitter seeded by the run
-/// fingerprint, so retried runs replay the same schedule.
-///
-/// # Errors
-///
-/// Everything [`run_batched_checkpointed`] documents, plus
-/// [`BatchError::Govern`] for budget infeasibility ([`BatchConfig::derive`]
-/// failures surface earlier, in the linker) and deadline expiry.
-pub fn run_batched_governed(
-    engine: &TwoStage,
-    config: &BatchConfig,
-    known: &Dataset,
-    unknown: &Dataset,
-    spec: Option<&CheckpointSpec>,
+    checkpoint: Option<&Path>,
 ) -> Result<Vec<RankedMatch>, BatchError> {
     config.validate()?;
     let metrics = &engine.config().metrics;
-    let govern = &engine.config().govern;
     let _total = metrics.timer("batch.total").start();
     metrics
         .gauge("batch.batch_size")
         .set(config.batch_size as i64);
-    let ctx = spec.map(|s| (s, run_fingerprint(engine, config, known, unknown)));
-    let (survivors, rounds_done) = match &ctx {
+    let ctx = checkpoint.map(|path| (path, run_fingerprint(engine, config, known, unknown)));
+    let checkpoint_error = |path: &Path, error| BatchError::Checkpoint {
+        path: path.to_path_buf(),
+        error,
+    };
+    let retry = RetryPolicy::default();
+    let (survivors, rounds_done) = match ctx {
         None => (fresh_pools(known, unknown), 0),
-        Some((spec, fingerprint)) => {
+        Some((path, fingerprint)) => {
             // Checkpoint hygiene: a crash between the tmp write and the
             // rename leaves a stale sibling behind. It was never named
-            // `spec.path`, so it holds no recoverable state — remove it
-            // before this run starts writing its own tmp files there.
-            let stale = spec.path.with_extension("tmp");
+            // `path`, so it holds no recoverable state — remove it before
+            // this run starts writing its own tmp files there.
+            let stale = path.with_extension("tmp");
             if stale.exists() && std::fs::remove_file(&stale).is_ok() {
                 metrics.counter("govern.tmp_cleaned").incr();
             }
             let loaded = with_retry(
                 "checkpoint.load",
-                &govern.retry,
-                *fingerprint,
+                &retry,
+                fingerprint,
                 metrics,
                 is_transient,
-                || load_checkpoint(&spec.path),
+                || load_checkpoint(path),
             )
-            .map_err(|e| spec.error(e))?;
+            .map_err(|e| checkpoint_error(path, e))?;
             match loaded {
                 Some(c) => {
-                    let (pools, done) = decode_checkpoint(&c, *fingerprint, known, unknown)
-                        .map_err(|e| spec.error(e))?;
+                    let (pools, done) = decode_checkpoint(&c, fingerprint, known, unknown)
+                        .map_err(|e| checkpoint_error(path, e))?;
                     metrics.counter("batch.resumed").incr();
                     metrics.gauge("batch.resumed_round").set(done as i64);
                     (pools, done)
@@ -444,23 +403,23 @@ pub fn run_batched_governed(
         survivors,
         rounds_done,
         |done, pools| {
-            let Some((spec, fingerprint)) = &ctx else {
+            let Some((path, fingerprint)) = ctx else {
                 return Ok(());
             };
-            let checkpoint = encode_checkpoint(*fingerprint, done, pools);
+            let saved = encode_checkpoint(fingerprint, done, pools);
             with_retry(
                 "checkpoint.save",
-                &govern.retry,
-                *fingerprint,
+                &retry,
+                fingerprint,
                 metrics,
                 is_transient,
-                || write_container(&spec.path, &checkpoint, SAVE_SITES),
+                || write_container(path, &saved, SAVE_SITES),
             )
-            .map_err(|e| spec.error(e))
+            .map_err(|e| checkpoint_error(path, e))
         },
     )?;
-    if let Some((spec, _)) = &ctx {
-        let _ = std::fs::remove_file(&spec.path);
+    if let Some((path, _)) = ctx {
+        let _ = std::fs::remove_file(path);
     }
     Ok(out)
 }
@@ -550,7 +509,7 @@ fn peak_round_bytes(pools: &[Vec<usize>], record_bytes: &[u64], batch_size: usiz
         .unwrap_or(0)
 }
 
-/// The round loop shared by every entry point, then the final stage.
+/// The round loop of [`run_batched`], then the final stage.
 /// `after_round` runs once per completed round (checkpointing hook); its
 /// error aborts the run. The engine's governor is consulted here: the
 /// deadline at round boundaries (and cooperatively inside rounds), the
@@ -570,7 +529,7 @@ where
 {
     // The same figure `BatchConfig::derive` budgets with.
     let overhead = budget_overhead_bytes(unknown);
-    let unknown = Unknowns::new(unknown, known);
+    let unknown = Unknowns::new(unknown, known.lexicon());
     let metrics = &engine.config().metrics;
     let govern = &engine.config().govern;
     let deadline = &govern.deadline;
@@ -625,48 +584,32 @@ where
             }
         }
         rounds.incr();
-        let before = survivors.clone();
         // A mid-round expiry discards the whole round's partial work —
         // all-or-nothing — so the surviving pools (and any checkpoint)
         // only ever hold completed rounds, keeping resumed output bytes
         // independent of where the clock ran out and of thread count.
-        let expired = |done: u64| {
+        let expired = || {
             metrics.counter("govern.deadline_expired").incr();
-            BatchError::Govern(GovernError::DeadlineExpired { rounds_done: done })
+            BatchError::Govern(GovernError::DeadlineExpired { rounds_done })
         };
-        // All unknowns share rounds but pools can differ after round one;
-        // in round one all pools are identical, afterwards k·ceil(n/B)
-        // shrinks fast. Process per unknown-group with identical pools to
-        // reuse fits: in practice pools stay identical across unknowns
-        // only in round one, so round two onward we just batch per unknown.
-        let identical = survivors.windows(2).all(|w| w[0] == w[1]);
-        if identical && !survivors.is_empty() {
-            let pool = survivors[0].clone();
-            survivors = batched_round(engine, batch_size, known, &unknown, &pool, None, deadline)
-                .map_err(|_| expired(rounds_done))?;
-        } else {
-            // Divergent pools: each unknown reduces against its own pool,
-            // independently of the others — fan the per-unknown rounds out
-            // over the worker pool, keeping pool order by construction.
-            let threads = engine.config().effective_threads();
-            survivors =
-                darklight_par::par_map_deadline(&survivors, threads, deadline, |u, pool| {
-                    batched_round(engine, batch_size, known, &unknown, pool, Some(u), deadline).map(
-                        |pools| {
-                            pools
-                                .into_iter()
-                                .next()
-                                // audit:allow(no-naked-unwrap) -- batched_round with Some(u) returns exactly one pool by construction
-                                .expect("one unknown processed")
-                        },
-                    )
-                })
-                .map_err(|_| expired(rounds_done))?
-                .into_iter()
-                .collect::<Result<Vec<Vec<usize>>, Expired>>()
-                .map_err(|_| expired(rounds_done))?;
+        // Pool groups reduce independently of each other: fan them out
+        // over the worker pool, then put each member's new pool back in
+        // its slot.
+        let groups = pool_groups(&survivors);
+        let threads = engine.config().effective_threads();
+        let reduced =
+            darklight_par::par_map_deadline(&groups, threads, deadline, |_, (pool, members)| {
+                batched_round(engine, batch_size, known, &unknown, pool, members, deadline)
+            })
+            .map_err(|_| expired())?;
+        let mut next = vec![Vec::new(); survivors.len()];
+        for ((_, members), pools) in groups.iter().zip(reduced) {
+            for (&u, pool) in members.iter().zip(pools.map_err(|_| expired())?) {
+                next[u] = pool;
+            }
         }
-        let stalled = survivors == before;
+        let stalled = next == survivors;
+        survivors = next;
         if stalled {
             metrics.counter("batch.stalled").incr();
         }
@@ -680,50 +623,51 @@ where
     Ok(finalize(engine, known, &unknown, &survivors))
 }
 
-/// The unknown side of a batched run. Every round, finalize and rescore
-/// refit over known records and unknown ones; when the two sides were
-/// counted apart, the unknowns' counts are rebased onto the known
-/// lexicon once, so all of those fits run on raw ids. Only the counts
-/// are copied ([`budget_overhead_bytes`] charges them); the stages read
-/// each unknown through a borrowed view of its counts (the rebased ones
-/// when there are) and the caller's profile.
-struct Unknowns<'a> {
-    dataset: &'a Dataset,
-    rebased: Option<Vec<CountedDoc>>,
+/// The unit both a round and the final step map over: each distinct
+/// pool, with the unknowns holding it in ascending order. Groups come
+/// out in pool order (a `BTreeMap`, not a hash), though nothing depends
+/// on it: each group's results go back to its members' slots.
+fn pool_groups(pools: &[Vec<usize>]) -> Vec<(&[usize], Vec<usize>)> {
+    let mut groups: BTreeMap<&[usize], Vec<usize>> = BTreeMap::new();
+    for (u, pool) in pools.iter().enumerate() {
+        groups.entry(pool).or_default().push(u);
+    }
+    groups.into_iter().collect()
 }
 
-impl<'a> Unknowns<'a> {
-    fn new(unknown: &'a Dataset, known: &Dataset) -> Unknowns<'a> {
-        Unknowns {
-            dataset: unknown,
-            rebased: unknown.counts_rebased_onto(known.lexicon()),
-        }
-    }
-
-    /// Unknown `u` in the known lexicon's lineage.
-    fn view(&self, u: usize) -> DocView<'_> {
-        let record = &self.dataset.records[u];
-        DocView {
-            counted: self.rebased.as_ref().map_or(&record.counted, |c| &c[u]),
-            profile: record.profile.as_ref(),
-        }
-    }
-
-    /// Every unknown, in order, in the known lexicon's lineage.
-    fn views(&self) -> Vec<DocView<'_>> {
-        (0..self.dataset.len()).map(|u| self.view(u)).collect()
-    }
-}
-
-/// Views of the known records `indices`, in that order.
-fn known_views<'a>(known: &'a Dataset, indices: &[usize]) -> Vec<DocView<'a>> {
-    indices
+/// Stage 1 of the unknowns `members` among the known records
+/// `candidates` only: one fit on those records, then each member's k
+/// best of them, indexed into the known set.
+fn reduce_among(
+    engine: &TwoStage,
+    known: &Dataset,
+    unknown: &Unknowns<'_>,
+    candidates: &[usize],
+    members: &[usize],
+) -> Vec<Vec<Ranked>> {
+    let candidate_views: Vec<DocView<'_>> = candidates
         .iter()
         .map(|&i| DocView::of(&known.records[i]))
+        .collect();
+    let queries: Vec<DocView<'_>> = members.iter().map(|&u| unknown.view(u)).collect();
+    engine
+        .reduce_views(&candidate_views, &queries)
+        .into_iter()
+        .map(|ranked| {
+            ranked
+                .into_iter()
+                .map(|r| Ranked {
+                    index: candidates[r.index],
+                    score: r.score,
+                })
+                .collect()
+        })
         .collect()
 }
 
-/// Final stage: rescore each unknown against its surviving pool.
+/// Final stage: stage 1 once per distinct surviving pool, queried by
+/// every unknown holding it, then stage 2 for each unknown against its
+/// k candidates.
 fn finalize(
     engine: &TwoStage,
     known: &Dataset,
@@ -735,30 +679,25 @@ fn finalize(
     for pool in survivors {
         pool_sizes.record(pool.len() as u64);
     }
-    let stage1: Vec<Vec<Ranked>> = survivors
-        .iter()
-        .enumerate()
-        .map(|(u, pool)| {
-            if pool.is_empty() {
-                return Vec::new();
-            }
-            let reduced = engine.reduce_views(&known_views(known, pool), &[unknown.view(u)]);
-            reduced[0]
-                .iter()
-                .take(engine.config().k)
-                .map(|r| Ranked {
-                    index: pool[r.index],
-                    score: r.score,
-                })
-                .collect()
-        })
-        .collect();
+    let mut stage1: Vec<Vec<Ranked>> = vec![Vec::new(); survivors.len()];
+    for (pool, members) in pool_groups(survivors) {
+        if pool.is_empty() {
+            continue;
+        }
+        for (&u, ranked) in members
+            .iter()
+            .zip(reduce_among(engine, known, unknown, pool, &members))
+        {
+            stage1[u] = ranked;
+        }
+    }
     engine.rescore_views(&DocView::all(known), &unknown.views(), stage1)
 }
 
-/// One batched k-attribution round over `pool`. When `only` is given, only
-/// that unknown is scored (used when pools diverge); otherwise all
-/// unknowns are scored and the function returns one new pool per unknown.
+/// One batched k-attribution round of a pool group: the unknowns
+/// `members`, which all hold `pool`, reduce among each batch of it in
+/// turn and keep the k best of every batch. Returns each member's new
+/// pool, in `members` order.
 ///
 /// Checks `deadline` before each batch so an expired run stops within one
 /// batch of work; the partial round is discarded by the caller.
@@ -768,23 +707,17 @@ fn batched_round(
     known: &Dataset,
     unknown: &Unknowns<'_>,
     pool: &[usize],
-    only: Option<usize>,
+    members: &[usize],
     deadline: &Deadline,
 ) -> Result<Vec<Vec<usize>>, Expired> {
-    let queries = match only {
-        Some(u) => vec![unknown.view(u)],
-        None => unknown.views(),
-    };
-    let mut new_pools: Vec<Vec<usize>> = vec![Vec::new(); queries.len()];
+    let mut new_pools: Vec<Vec<usize>> = vec![Vec::new(); members.len()];
     for batch in pool.chunks(batch_size) {
         if deadline.is_expired() {
             return Err(Expired);
         }
-        let reduced = engine.reduce_views(&known_views(known, batch), &queries);
+        let reduced = reduce_among(engine, known, unknown, batch, members);
         for (slot, ranked) in new_pools.iter_mut().zip(reduced) {
-            for r in ranked.iter().take(engine.config().k) {
-                slot.push(batch[r.index]);
-            }
+            slot.extend(ranked.iter().map(|r| r.index));
         }
     }
     for p in &mut new_pools {
@@ -857,10 +790,10 @@ mod tests {
         path
     }
 
-    /// Runs `config` checkpointing at `spec` under a one-round deadline,
+    /// Runs `config` checkpointing at `path` under a one-round deadline,
     /// asserting the round the run was killed at and the checkpoint it
     /// leaves on disk.
-    fn kill_after_round(config: &BatchConfig, spec: &CheckpointSpec, killed_at: u64) {
+    fn kill_after_round(config: &BatchConfig, path: &Path, killed_at: u64) {
         let (known, unknown) = world();
         let e = TwoStage::new(TwoStageConfig {
             govern: darklight_govern::GovernConfig {
@@ -869,7 +802,7 @@ mod tests {
             },
             ..engine().config().clone()
         });
-        let err = run_batched_checkpointed(&e, config, &known, &unknown, spec).unwrap_err();
+        let err = run_batched(&e, config, &known, &unknown, Some(path)).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -877,14 +810,20 @@ mod tests {
             ),
             "{err}"
         );
-        assert!(spec.path.exists(), "checkpoint persisted at the kill point");
+        assert!(path.exists(), "checkpoint persisted at the kill point");
     }
 
     #[test]
     fn batched_matches_true_authors() {
         let (known, unknown) = world();
-        let results =
-            run_batched(&engine(), &BatchConfig { batch_size: 4 }, &known, &unknown).unwrap();
+        let results = run_batched(
+            &engine(),
+            &BatchConfig { batch_size: 4 },
+            &known,
+            &unknown,
+            None,
+        )
+        .unwrap();
         for m in &results {
             let best = m.best().expect("candidates exist");
             assert_eq!(
@@ -900,7 +839,8 @@ mod tests {
         let (known, unknown) = world();
         let e = engine();
         let unbatched = e.run(&known, &unknown);
-        let batched = run_batched(&e, &BatchConfig { batch_size: 5 }, &known, &unknown).unwrap();
+        let batched =
+            run_batched(&e, &BatchConfig { batch_size: 5 }, &known, &unknown, None).unwrap();
         for (a, b) in unbatched.iter().zip(&batched) {
             assert_eq!(
                 a.best().map(|r| r.index),
@@ -911,23 +851,39 @@ mod tests {
         }
     }
 
+    /// Every index and score bit of a ranking, for exact comparisons.
+    type Bits = Vec<(usize, Vec<(usize, u64)>, Vec<(usize, u64)>)>;
+
+    fn bits(ranked: &[RankedMatch]) -> Bits {
+        let list = |rs: &[Ranked]| rs.iter().map(|r| (r.index, r.score.to_bits())).collect();
+        ranked
+            .iter()
+            .map(|m| (m.unknown, list(&m.stage1), list(&m.stage2)))
+            .collect()
+    }
+
     #[test]
     fn huge_batch_equals_single_round() {
+        // One batch holds the whole known set: no round runs, and the
+        // final step is one stage-1 fit that every unknown queries — the
+        // unbatched pipeline, down to the score bits.
+        use darklight_obs::PipelineMetrics;
         let (known, unknown) = world();
         let e = engine();
+        let metrics = PipelineMetrics::enabled();
         let batched = run_batched(
-            &e,
+            &TwoStage::new(e.config().clone().with_metrics(metrics.clone())),
             &BatchConfig {
                 batch_size: known.len() + 10,
             },
             &known,
             &unknown,
+            None,
         )
         .unwrap();
-        let unbatched = e.run(&known, &unknown);
-        for (a, b) in unbatched.iter().zip(&batched) {
-            assert_eq!(a.best().map(|r| r.index), b.best().map(|r| r.index));
-        }
+        assert_eq!(bits(&batched), bits(&e.run(&known, &unknown)));
+        assert_eq!(metrics.counter("batch.rounds").get(), 0);
+        assert_eq!(metrics.counter("features.fits").get(), 1);
     }
 
     #[test]
@@ -941,7 +897,7 @@ mod tests {
             metrics: metrics.clone(),
             ..TwoStageConfig::default()
         });
-        run_batched(&e, &BatchConfig { batch_size: 4 }, &known, &unknown).unwrap();
+        run_batched(&e, &BatchConfig { batch_size: 4 }, &known, &unknown, None).unwrap();
         // Twelve known aliases in batches of four need at least one
         // reduction round before pools fit a single batch.
         assert!(metrics.counter("batch.rounds").get() >= 1);
@@ -968,8 +924,12 @@ mod tests {
             metrics: metrics.clone(),
             ..TwoStageConfig::default()
         });
-        let results = run_batched(&e, &BatchConfig { batch_size: 3 }, &known, &unknown).unwrap();
+        let results =
+            run_batched(&e, &BatchConfig { batch_size: 3 }, &known, &unknown, None).unwrap();
         assert_eq!(metrics.counter("batch.stalled").get(), 1);
+        // One fit per batch of the stalled round, then one for the pool
+        // every unknown still shares.
+        assert_eq!(metrics.counter("features.fits").get(), 4 + 1);
         assert_eq!(results.len(), unknown.len());
         for m in &results {
             let best = m.best().expect("candidates exist");
@@ -1017,7 +977,8 @@ mod tests {
         let b = DatasetBuilder::new();
         let (known, unknown) = (b.build(&known_c), b.build(&unknown_c));
         let e = engine();
-        let ranked = run_batched(&e, &BatchConfig { batch_size: 2 }, &known, &unknown).unwrap();
+        let ranked =
+            run_batched(&e, &BatchConfig { batch_size: 2 }, &known, &unknown, None).unwrap();
         assert_eq!(ranked.len(), unknown.len());
         // No NaN escapes into the final rankings' accepted candidates,
         // and every real unknown still finds its true author.
@@ -1038,8 +999,14 @@ mod tests {
     #[test]
     fn zero_batch_is_a_typed_error() {
         let (known, unknown) = world();
-        let err =
-            run_batched(&engine(), &BatchConfig { batch_size: 0 }, &known, &unknown).unwrap_err();
+        let err = run_batched(
+            &engine(),
+            &BatchConfig { batch_size: 0 },
+            &known,
+            &unknown,
+            None,
+        )
+        .unwrap_err();
         assert!(
             matches!(&err, BatchError::InvalidConfig(why) if why.contains("positive")),
             "{err}"
@@ -1052,11 +1019,11 @@ mod tests {
         let (known, unknown) = world();
         let e = engine();
         let config = BatchConfig { batch_size: 4 };
-        let plain = run_batched(&e, &config, &known, &unknown).unwrap();
-        let spec = CheckpointSpec::new(ckpt_path("clean_run.ckpt"));
-        let ck = run_batched_checkpointed(&e, &config, &known, &unknown, &spec).unwrap();
+        let plain = run_batched(&e, &config, &known, &unknown, None).unwrap();
+        let path = ckpt_path("clean_run.ckpt");
+        let ck = run_batched(&e, &config, &known, &unknown, Some(&path)).unwrap();
         assert_eq!(plain, ck);
-        assert!(!spec.path.exists(), "checkpoint removed on success");
+        assert!(!path.exists(), "checkpoint removed on success");
     }
 
     #[test]
@@ -1071,11 +1038,11 @@ mod tests {
             ..TwoStageConfig::default()
         });
         let config = BatchConfig { batch_size: 4 };
-        let spec = CheckpointSpec::new(ckpt_path("stale_tmp.ckpt"));
-        let stale = spec.path.with_extension("tmp");
+        let path = ckpt_path("stale_tmp.ckpt");
+        let stale = path.with_extension("tmp");
         std::fs::write(&stale, b"half-written garbage from a crashed save").unwrap();
-        let plain = run_batched(&e, &config, &known, &unknown).unwrap();
-        let ck = run_batched_checkpointed(&e, &config, &known, &unknown, &spec).unwrap();
+        let plain = run_batched(&e, &config, &known, &unknown, None).unwrap();
+        let ck = run_batched(&e, &config, &known, &unknown, Some(&path)).unwrap();
         assert_eq!(plain, ck, "stale tmp must not perturb the run");
         assert!(!stale.exists(), "stale tmp file removed at startup");
         assert_eq!(metrics.counter("govern.tmp_cleaned").get(), 1);
@@ -1089,27 +1056,27 @@ mod tests {
         // so a one-round deadline kills the run twice before it ends:
         // the second resume starts from a checkpoint a resumed run wrote.
         let config = BatchConfig { batch_size: 4 };
-        let plain = run_batched(&e, &config, &known, &unknown).unwrap();
-        let spec = CheckpointSpec::new(ckpt_path("kill_resume.ckpt"));
-        kill_after_round(&config, &spec, 1);
-        kill_after_round(&config, &spec, 2);
-        let resumed = run_batched_checkpointed(&e, &config, &known, &unknown, &spec).unwrap();
+        let plain = run_batched(&e, &config, &known, &unknown, None).unwrap();
+        let path = ckpt_path("kill_resume.ckpt");
+        kill_after_round(&config, &path, 1);
+        kill_after_round(&config, &path, 2);
+        let resumed = run_batched(&e, &config, &known, &unknown, Some(&path)).unwrap();
         assert_eq!(plain, resumed, "resumed output must be identical");
-        assert!(!spec.path.exists());
+        assert!(!path.exists());
     }
 
     #[test]
     fn mismatched_fingerprint_is_refused() {
         let (known, unknown) = world();
-        let spec = CheckpointSpec::new(ckpt_path("mismatch.ckpt"));
-        kill_after_round(&BatchConfig { batch_size: 4 }, &spec, 1);
+        let path = ckpt_path("mismatch.ckpt");
+        kill_after_round(&BatchConfig { batch_size: 4 }, &path, 1);
         // Same checkpoint, different batch size: a different run.
-        let err = run_batched_checkpointed(
+        let err = run_batched(
             &engine(),
             &BatchConfig { batch_size: 5 },
             &known,
             &unknown,
-            &spec,
+            Some(&path),
         )
         .unwrap_err();
         assert!(
@@ -1127,7 +1094,7 @@ mod tests {
             msg.contains("mismatch.ckpt") && msg.contains("start fresh"),
             "{msg}"
         );
-        std::fs::remove_file(&spec.path).unwrap();
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -1167,7 +1134,7 @@ mod tests {
     /// Resuming from `bytes` must fail typed before any round runs.
     fn assert_refused(
         (known, unknown): &(Dataset, Dataset),
-        spec: &CheckpointSpec,
+        path: &Path,
         bytes: &[u8],
         what: &str,
     ) -> StoreError {
@@ -1179,11 +1146,11 @@ mod tests {
             metrics: metrics.clone(),
             ..TwoStageConfig::default()
         });
-        std::fs::write(&spec.path, bytes).unwrap();
+        std::fs::write(path, bytes).unwrap();
         let config = BatchConfig { batch_size: 4 };
-        match run_batched_checkpointed(&e, &config, known, unknown, spec) {
-            Err(BatchError::Checkpoint { path, error }) => {
-                assert_eq!(path, spec.path);
+        match run_batched(&e, &config, known, unknown, Some(path)) {
+            Err(BatchError::Checkpoint { path: at, error }) => {
+                assert_eq!(at, path);
                 assert_eq!(metrics.counter("batch.resumed").get(), 0, "{what}");
                 assert_eq!(metrics.counter("batch.rounds").get(), 0, "{what}");
                 assert_eq!(metrics.counter("govern.io_retries").get(), 0, "{what}");
@@ -1198,22 +1165,22 @@ mod tests {
         let world = world();
         let (known, unknown) = &world;
         let config = BatchConfig { batch_size: 4 };
-        let spec = CheckpointSpec::new(ckpt_path("corrupt.ckpt"));
-        kill_after_round(&config, &spec, 1);
-        let clean = std::fs::read(&spec.path).unwrap();
+        let path = ckpt_path("corrupt.ckpt");
+        kill_after_round(&config, &path, 1);
+        let clean = std::fs::read(&path).unwrap();
         // One flipped bit anywhere — a survivor index, a count, the
         // fingerprint, a frame field — fails a CRC instead of resuming
         // with quietly different pools.
         for i in 0..clean.len() {
             let mut bad = clean.clone();
             bad[i] ^= 1;
-            assert_refused(&world, &spec, &bad, &format!("bit 0 of byte {i} flipped"));
+            assert_refused(&world, &path, &bad, &format!("bit 0 of byte {i} flipped"));
         }
         // Every torn write, down to an empty file.
         for keep in 0..clean.len() {
             assert_refused(
                 &world,
-                &spec,
+                &path,
                 &clean[..keep],
                 &format!("truncated to {keep} bytes"),
             );
@@ -1225,12 +1192,12 @@ mod tests {
         let json = format!(
             "{{\"version\": 1, \"fingerprint\": {fingerprint}, \"rounds_done\": {rounds_done}, \"survivors\": {pools:?}}}\n"
         );
-        let error = assert_refused(&world, &spec, json.as_bytes(), "earlier JSON format");
+        let error = assert_refused(&world, &path, json.as_bytes(), "earlier JSON format");
         assert!(matches!(error, StoreError::Malformed(_)), "{error}");
         // The intact checkpoint still resumes to the uninterrupted bytes.
-        std::fs::write(&spec.path, &clean).unwrap();
-        let plain = run_batched(&engine(), &config, known, unknown).unwrap();
-        let resumed = run_batched_checkpointed(&engine(), &config, known, unknown, &spec).unwrap();
+        std::fs::write(&path, &clean).unwrap();
+        let plain = run_batched(&engine(), &config, known, unknown, None).unwrap();
+        let resumed = run_batched(&engine(), &config, known, unknown, Some(&path)).unwrap();
         assert_eq!(plain, resumed);
     }
 
@@ -1296,10 +1263,14 @@ mod tests {
     /// counts; the overhead must cover that copy beside the caller's set.
     #[test]
     fn overhead_charges_the_rebased_counts() {
+        use darklight_features::pipeline::CountedDoc;
         let (known, unknown) = world();
-        let rebased = unknown
-            .counts_rebased_onto(known.lexicon())
-            .expect("separate builds need a rebase");
+        assert!(
+            !unknown.lexicon().compatible(known.lexicon()),
+            "separate builds need a rebase"
+        );
+        let docs: Vec<&CountedDoc> = unknown.records.iter().map(|r| &r.counted).collect();
+        let rebased = CountedDoc::rebase_all(&docs, known.lexicon());
         let copy: u64 = rebased
             .iter()
             .map(EstimateBytes::estimate_bytes)
@@ -1309,18 +1280,15 @@ mod tests {
     }
 
     #[test]
-    fn zero_batch_is_typed_through_every_entry_point() {
-        // The governed driver is the single validation point, so a bad
-        // config must surface identically through each wrapper — and
-        // before any checkpoint I/O happens.
+    fn zero_batch_is_refused_before_checkpoint_io() {
+        // A bad config is a typed error with a checkpoint path too, and
+        // it surfaces before any checkpoint I/O happens.
         let (known, unknown) = world();
         let bad = BatchConfig { batch_size: 0 };
-        let spec = CheckpointSpec::new(ckpt_path("never_written.ckpt"));
-        let err = run_batched_checkpointed(&engine(), &bad, &known, &unknown, &spec).unwrap_err();
+        let path = ckpt_path("never_written.ckpt");
+        let err = run_batched(&engine(), &bad, &known, &unknown, Some(&path)).unwrap_err();
         assert!(matches!(&err, BatchError::InvalidConfig(_)), "{err}");
-        assert!(!spec.path.exists(), "validation precedes checkpoint I/O");
-        let err = run_batched_governed(&engine(), &bad, &known, &unknown, None).unwrap_err();
-        assert!(matches!(&err, BatchError::InvalidConfig(_)), "{err}");
+        assert!(!path.exists(), "validation precedes checkpoint I/O");
     }
 
     #[test]
@@ -1332,7 +1300,7 @@ mod tests {
         )
         .unwrap();
         let config = BatchConfig::derive(&budget, &known, &unknown).unwrap();
-        let fixed = run_batched(&engine(), &config, &known, &unknown).unwrap();
+        let fixed = run_batched(&engine(), &config, &known, &unknown, None).unwrap();
         let metrics = PipelineMetrics::enabled();
         let governed_engine = TwoStage::new(TwoStageConfig {
             k: 3,
@@ -1344,7 +1312,7 @@ mod tests {
             },
             ..TwoStageConfig::default()
         });
-        let governed = run_batched(&governed_engine, &config, &known, &unknown).unwrap();
+        let governed = run_batched(&governed_engine, &config, &known, &unknown, None).unwrap();
         assert_eq!(fixed, governed, "a derived batch size must never shrink");
         assert_eq!(metrics.counter("govern.batch_shrinks").get(), 0);
         assert!(metrics.gauge("govern.bytes_estimated").get() > 0);
@@ -1372,7 +1340,8 @@ mod tests {
             },
             ..TwoStageConfig::default()
         });
-        let results = run_batched(&e, &BatchConfig { batch_size: 8 }, &known, &unknown).unwrap();
+        let results =
+            run_batched(&e, &BatchConfig { batch_size: 8 }, &known, &unknown, None).unwrap();
         assert_eq!(metrics.counter("govern.batch_shrinks").get(), 2);
         assert_eq!(metrics.gauge("batch.batch_size").get(), 2);
         assert!(
@@ -1390,7 +1359,8 @@ mod tests {
         }
         // Shrinking is deterministic: an identical second run produces
         // byte-identical rankings.
-        let again = run_batched(&e, &BatchConfig { batch_size: 8 }, &known, &unknown).unwrap();
+        let again =
+            run_batched(&e, &BatchConfig { batch_size: 8 }, &known, &unknown, None).unwrap();
         assert_eq!(results, again);
     }
 
@@ -1399,7 +1369,7 @@ mod tests {
         use darklight_obs::PipelineMetrics;
         let (known, unknown) = world();
         let config = BatchConfig { batch_size: 4 };
-        let plain = run_batched(&engine(), &config, &known, &unknown).unwrap();
+        let plain = run_batched(&engine(), &config, &known, &unknown, None).unwrap();
         let metrics = PipelineMetrics::enabled();
         let strict = TwoStage::new(TwoStageConfig {
             k: 3,
@@ -1411,8 +1381,8 @@ mod tests {
             },
             ..TwoStageConfig::default()
         });
-        let spec = CheckpointSpec::new(ckpt_path("deadline_resume.ckpt"));
-        let err = run_batched_checkpointed(&strict, &config, &known, &unknown, &spec).unwrap_err();
+        let path = ckpt_path("deadline_resume.ckpt");
+        let err = run_batched(&strict, &config, &known, &unknown, Some(&path)).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -1421,12 +1391,11 @@ mod tests {
             "{err}"
         );
         assert_eq!(metrics.counter("govern.deadline_expired").get(), 1);
-        assert!(spec.path.exists(), "expiry leaves a valid checkpoint");
+        assert!(path.exists(), "expiry leaves a valid checkpoint");
         // The governor never reaches the fingerprint, so a fresh engine
         // without a deadline resumes the same run to the same bytes.
-        let resumed =
-            run_batched_checkpointed(&engine(), &config, &known, &unknown, &spec).unwrap();
+        let resumed = run_batched(&engine(), &config, &known, &unknown, Some(&path)).unwrap();
         assert_eq!(plain, resumed, "resume after expiry must be lossless");
-        assert!(!spec.path.exists());
+        assert!(!path.exists());
     }
 }

@@ -7,7 +7,6 @@
 //! (persona ids, leaked facts) rides along untouched for the evaluation
 //! layer.
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -37,21 +36,6 @@ pub struct Record {
     pub counted: CountedDoc,
     /// The daily activity profile, when buildable.
     pub profile: Option<DailyActivityProfile>,
-}
-
-impl Record {
-    /// A copy of this record with `counted` in place of its counts.
-    pub fn with_counted(&self, counted: CountedDoc) -> Record {
-        Record {
-            alias: self.alias.clone(),
-            persona: self.persona,
-            facts: self.facts.clone(),
-            text: self.text.clone(),
-            doc: self.doc.clone(),
-            counted,
-            profile: self.profile.clone(),
-        }
-    }
 }
 
 /// A named set of attribution-ready records.
@@ -147,44 +131,6 @@ impl Dataset {
     /// The lexicon covering every record's counted document.
     pub fn lexicon(&self) -> &Arc<Lexicon> {
         &self.lexicon
-    }
-
-    /// The records' counted documents expressed in a lexicon compatible
-    /// with `base`: `None` when they already are (the common case inside
-    /// a link), otherwise every document rebased, in record order, into
-    /// one new extension of `base` that `base` itself never sees.
-    pub fn counts_rebased_onto(&self, base: &Arc<Lexicon>) -> Option<Vec<CountedDoc>> {
-        if self.lexicon.compatible(base) {
-            return None;
-        }
-        let docs: Vec<&CountedDoc> = self.records.iter().map(|r| &r.counted).collect();
-        Some(CountedDoc::rebase_all(&docs, base))
-    }
-
-    /// This dataset with its counted documents expressed in a lexicon
-    /// compatible with `base` ([`counts_rebased_onto`]): borrowed as is
-    /// when it already is, otherwise a copy. Linking rebases the unknown
-    /// side onto the known lexicon once per link, so every refit and
-    /// vectorization after that runs on raw ids; the extension is dropped
-    /// with the copy and `base` never grows.
-    ///
-    /// [`counts_rebased_onto`]: Dataset::counts_rebased_onto
-    pub fn rebased_onto(&self, base: &Arc<Lexicon>) -> Cow<'_, Dataset> {
-        let Some(counts) = self.counts_rebased_onto(base) else {
-            return Cow::Borrowed(self);
-        };
-        let records = self
-            .records
-            .iter()
-            .zip(counts)
-            .map(|(r, counted)| r.with_counted(counted))
-            .collect();
-        Cow::Owned(Dataset::with_orders(
-            self.name.clone(),
-            records,
-            self.max_word_n,
-            self.max_char_n,
-        ))
     }
 
     /// Number of records.
@@ -601,13 +547,5 @@ mod tests {
         }
         assert!(mixed.lexicon().covers(a.lexicon()), "a's ids are kept");
         assert_eq!(mixed.records[1].counted, b.records[1].counted);
-        // Rebasing is a no-op inside one lineage, a copy across two.
-        assert!(matches!(a.rebased_onto(mixed.lexicon()), Cow::Borrowed(_)));
-        let base_len = a.lexicon().len();
-        let rebased = b.rebased_onto(a.lexicon());
-        assert!(matches!(rebased, Cow::Owned(_)));
-        assert_eq!(*rebased, b);
-        assert!(rebased.lexicon().covers(a.lexicon()));
-        assert_eq!(a.lexicon().len(), base_len, "the base never grows");
     }
 }

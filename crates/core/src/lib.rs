@@ -41,7 +41,7 @@ pub mod twostage;
 
 pub use artifact::FitArtifact;
 pub use attrib::CandidateIndex;
-pub use batch::{BatchConfig, BatchError, CheckpointSpec};
+pub use batch::{BatchConfig, BatchError};
 pub use confidence::MatchConfidence;
 pub use dataset::{Dataset, DatasetBuilder, Record};
 pub use explain::{explain_pair, MatchExplanation};

@@ -6,7 +6,7 @@
 //! This is the API a downstream investigator would call.
 
 use crate::artifact::FitArtifact;
-use crate::batch::{run_batched_governed, BatchConfig, BatchError, CheckpointSpec};
+use crate::batch::{run_batched, BatchConfig, BatchError};
 use crate::dataset::{Dataset, DatasetBuilder};
 use crate::twostage::{TwoStage, TwoStageConfig};
 use darklight_activity::profile::{ProfileBuilder, ProfilePolicy};
@@ -185,7 +185,7 @@ impl Linker {
     ///
     /// # Errors
     ///
-    /// See [`run_batched_governed`]; unbatched runs cannot fail.
+    /// See [`run_batched`]; unbatched runs cannot fail.
     pub fn try_link(
         &self,
         known: &Corpus,
@@ -227,12 +227,8 @@ impl Linker {
         let pairs = match &batch {
             None => engine.link(known, unknown),
             Some(batch) => {
-                let spec = self
-                    .config
-                    .checkpoint
-                    .as_ref()
-                    .map(|path| CheckpointSpec::new(path.clone()));
-                let ranked = run_batched_governed(&engine, batch, known, unknown, spec.as_ref())?;
+                let checkpoint = self.config.checkpoint.as_deref();
+                let ranked = run_batched(&engine, batch, known, unknown, checkpoint)?;
                 engine.threshold_links(ranked)
             }
         };

@@ -11,9 +11,11 @@ use crate::artifact::FitArtifact;
 use crate::attrib::{cmp_desc, CandidateIndex, Ranked};
 use crate::dataset::{Dataset, Record};
 use darklight_activity::profile::DailyActivityProfile;
+use darklight_features::lexicon::Lexicon;
 use darklight_features::pipeline::{CountedDoc, FeatureConfig, FeatureExtractor, FeatureSpace};
 use darklight_features::sparse::SparseVector;
 use darklight_obs::PipelineMetrics;
+use std::sync::Arc;
 
 /// What both stages read of a record: its counted document and its
 /// activity profile. The batch driver hands the stages borrowed views of
@@ -40,6 +42,50 @@ impl<'a> DocView<'a> {
     }
 }
 
+/// The unknown side of a link in the known side's lexicon lineage. Both
+/// stages fit over known documents and unknown ones, so when the two
+/// sides were counted apart the unknowns' counts are rebased onto the
+/// known lexicon once, and every fit and vectorization after that runs
+/// on raw ids; the extension is dropped with this value and the known
+/// lexicon never grows. Only the counts are copied (the batch driver's
+/// budget charges them); the stages read each unknown through a borrowed
+/// view of its counts — the rebased ones when there are — and the
+/// caller's profile.
+pub(crate) struct Unknowns<'a> {
+    dataset: &'a Dataset,
+    rebased: Option<Vec<CountedDoc>>,
+}
+
+impl<'a> Unknowns<'a> {
+    /// `unknown` in the lineage of `base`: no copy when it already is,
+    /// otherwise every counted document rebased, in record order, into
+    /// one new extension of `base` that `base` itself never sees.
+    pub(crate) fn new(unknown: &'a Dataset, base: &Arc<Lexicon>) -> Unknowns<'a> {
+        let rebased = (!unknown.lexicon().compatible(base)).then(|| {
+            let docs: Vec<&CountedDoc> = unknown.records.iter().map(|r| &r.counted).collect();
+            CountedDoc::rebase_all(&docs, base)
+        });
+        Unknowns {
+            dataset: unknown,
+            rebased,
+        }
+    }
+
+    /// Unknown `u`.
+    pub(crate) fn view(&self, u: usize) -> DocView<'_> {
+        let record = &self.dataset.records[u];
+        DocView {
+            counted: self.rebased.as_ref().map_or(&record.counted, |c| &c[u]),
+            profile: record.profile.as_ref(),
+        }
+    }
+
+    /// Every unknown, in order.
+    pub(crate) fn views(&self) -> Vec<DocView<'_>> {
+        (0..self.dataset.len()).map(|u| self.view(u)).collect()
+    }
+}
+
 /// Configuration of the two-stage pipeline. Defaults are the paper's.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TwoStageConfig {
@@ -57,10 +103,10 @@ pub struct TwoStageConfig {
     /// record — they are never read back — so enabling metrics cannot
     /// change attribution output (pinned by `tests/metrics_parity.rs`).
     pub metrics: PipelineMetrics,
-    /// Resource governor (memory budget, deadline, I/O retry policy);
-    /// inert by default. Like `metrics` and `threads`, governance can
-    /// change when a run stops or how it is chunked, but never its
-    /// output bytes, so it is excluded from the checkpoint fingerprint.
+    /// Resource governor (memory budget, deadline); inert by default.
+    /// Like `metrics` and `threads`, governance can change when a run
+    /// stops or how it is chunked, but never its output bytes, so it is
+    /// excluded from the checkpoint fingerprint.
     pub govern: darklight_govern::GovernConfig,
 }
 
@@ -163,12 +209,11 @@ impl TwoStage {
     /// only on the record, so degraded output stays thread-count
     /// deterministic.
     ///
-    /// `unknown` is rebased onto `known`'s lexicon first unless it
-    /// already is ([`Dataset::rebased_onto`]); callers that run several
-    /// stages rebase once up front.
+    /// The unknowns' counts are rebased onto `known`'s lexicon first
+    /// unless they already are in its lineage.
     pub fn reduce(&self, known: &Dataset, unknown: &Dataset) -> Vec<Vec<Ranked>> {
-        let unknown = unknown.rebased_onto(known.lexicon());
-        self.reduce_views(&DocView::all(known), &DocView::all(&unknown))
+        let unknown = Unknowns::new(unknown, known.lexicon());
+        self.reduce_views(&DocView::all(known), &unknown.views())
     }
 
     /// [`reduce`](Self::reduce) over borrowed record views: the stage-1
@@ -203,16 +248,21 @@ impl TwoStage {
         index: &CandidateIndex,
         unknown: &Dataset,
     ) -> Vec<Vec<Ranked>> {
+        let unknown = Unknowns::new(unknown, space.lexicon());
+        self.reduce_prefit_views(space, index, &unknown.views())
+    }
+
+    /// [`reduce_prefit`](Self::reduce_prefit) over borrowed views of
+    /// unknowns already in `space`'s lexicon lineage.
+    fn reduce_prefit_views(
+        &self,
+        space: &FeatureSpace,
+        index: &CandidateIndex,
+        unknown: &[DocView<'_>],
+    ) -> Vec<Vec<Ranked>> {
         let _stage1 = self.config.metrics.timer("twostage.stage1").start();
         let threads = self.config.observed_threads();
-        let unknown = unknown.rebased_onto(space.lexicon());
-        self.rank(
-            space,
-            index,
-            &DocView::all(&unknown),
-            self.config.k,
-            threads,
-        )
+        self.rank(space, index, unknown, self.config.k, threads)
     }
 
     /// The stage-1 fit every path shares — a fresh reduction, the
@@ -280,9 +330,10 @@ impl TwoStage {
     /// onto the known lexicon once, for both stages.
     pub fn run(&self, known: &Dataset, unknown: &Dataset) -> Vec<RankedMatch> {
         let _total = self.config.metrics.timer("twostage.total").start();
-        let unknown = unknown.rebased_onto(known.lexicon());
-        let stage1 = self.reduce(known, &unknown);
-        self.rescore(known, &unknown, stage1)
+        let unknown = Unknowns::new(unknown, known.lexicon());
+        let (known, unknown) = (DocView::all(known), unknown.views());
+        let stage1 = self.reduce_views(&known, &unknown);
+        self.rescore_views(&known, &unknown, stage1)
     }
 
     /// Both stages for every unknown against a fitted artifact instead
@@ -293,9 +344,10 @@ impl TwoStage {
     /// records. Byte-identical to [`run`](Self::run) on the dataset the
     /// artifact was fitted from.
     pub(crate) fn run_prefit(&self, artifact: &FitArtifact, unknown: &Dataset) -> Vec<RankedMatch> {
-        let unknown = unknown.rebased_onto(artifact.known.lexicon());
-        let stage1 = self.reduce_prefit(&artifact.space, &artifact.index, &unknown);
-        self.rescore(&artifact.known, &unknown, stage1)
+        let unknown = Unknowns::new(unknown, artifact.known.lexicon());
+        let unknown = unknown.views();
+        let stage1 = self.reduce_prefit_views(&artifact.space, &artifact.index, &unknown);
+        self.rescore_views(&DocView::all(&artifact.known), &unknown, stage1)
     }
 
     /// Stage 2 given existing stage-1 candidate lists (used by the batch
@@ -308,8 +360,8 @@ impl TwoStage {
     ) -> Vec<RankedMatch> {
         // Each refit counts the unknown's own grams too; in the known
         // lineage they are raw ids like the candidates'.
-        let unknown = unknown.rebased_onto(known.lexicon());
-        self.rescore_views(&DocView::all(known), &DocView::all(&unknown), stage1)
+        let unknown = Unknowns::new(unknown, known.lexicon());
+        self.rescore_views(&DocView::all(known), &unknown.views(), stage1)
     }
 
     /// [`rescore`](Self::rescore) over borrowed record views; candidate
@@ -414,10 +466,10 @@ impl TwoStage {
         depth: usize,
     ) -> Vec<RankedMatch> {
         let threads = self.config.observed_threads();
-        let unknown = unknown.rebased_onto(known.lexicon());
+        let unknown = Unknowns::new(unknown, known.lexicon());
         let (space, _, index) =
             self.fit_known(&self.config.final_stage, &DocView::all(known), threads);
-        self.rank(&space, &index, &DocView::all(&unknown), depth, threads)
+        self.rank(&space, &index, &unknown.views(), depth, threads)
             .into_iter()
             .enumerate()
             .map(|(u, ranked)| RankedMatch {
@@ -607,6 +659,24 @@ mod tests {
             assert_eq!(a.best().map(|x| x.index), b.best().map(|x| x.index));
             assert!((a.best().unwrap().score - b.best().unwrap().score).abs() < 1e-9);
         }
+    }
+
+    #[test]
+    fn unknowns_are_rebased_only_across_lineages() {
+        let (known, unknown) = world();
+        // A dataset is one lineage: nothing to copy.
+        assert!(Unknowns::new(&known, known.lexicon()).rebased.is_none());
+        // Two builds are two lineages: the counts are copied into one
+        // extension of the known lexicon, which itself never grows.
+        let base_len = known.lexicon().len();
+        let unknowns = Unknowns::new(&unknown, known.lexicon());
+        let rebased = unknowns.rebased.as_ref().expect("two lineages");
+        for (u, record) in unknown.records.iter().enumerate() {
+            assert_eq!(rebased[u], record.counted, "same terms and counts");
+            assert!(rebased[u].lexicon().covers(known.lexicon()));
+            assert!(std::ptr::eq(unknowns.view(u).counted, &rebased[u]));
+        }
+        assert_eq!(known.lexicon().len(), base_len, "the base never grows");
     }
 
     #[test]

@@ -2,9 +2,6 @@
 
 use crate::GovernError;
 
-/// Environment variable consulted when no `--mem-budget` flag is given.
-pub const MEM_BUDGET_ENV: &str = "DARKLIGHT_MEM_BUDGET";
-
 /// A rough, deterministic estimate of a value's resident size in bytes.
 ///
 /// The point is not allocator-accurate accounting — it is a *stable*
@@ -45,7 +42,7 @@ impl<T: EstimateBytes> EstimateBytes for Option<T> {
 }
 
 /// A byte budget for one attribution run, parsed from `512MiB`-style
-/// strings (CLI `--mem-budget`, env [`MEM_BUDGET_ENV`]).
+/// strings (CLI `--mem-budget`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryBudget {
     bytes: u64,
@@ -140,23 +137,6 @@ impl MemoryBudget {
             GovernError::ParseSize(format!("{s:?} overflows a 64-bit byte count"))
         })?;
         MemoryBudget::from_bytes(bytes)
-    }
-
-    /// Reads [`MEM_BUDGET_ENV`]; `Ok(None)` when unset or empty.
-    ///
-    /// # Errors
-    ///
-    /// A set-but-malformed value is an error, not a silent fallback — an
-    /// operator who exported a budget wants it enforced or rejected,
-    /// never ignored.
-    pub fn from_env() -> Result<Option<MemoryBudget>, GovernError> {
-        match std::env::var(MEM_BUDGET_ENV) {
-            Ok(v) if v.trim().is_empty() => Ok(None),
-            Ok(v) => MemoryBudget::parse(&v)
-                .map(Some)
-                .map_err(|e| GovernError::ParseSize(format!("{MEM_BUDGET_ENV}: {e}"))),
-            Err(_) => Ok(None),
-        }
     }
 }
 

@@ -7,9 +7,9 @@
 //! overrun wall-clock. This crate supplies the missing pieces as small,
 //! dependency-free primitives that the core batch driver composes:
 //!
-//! - [`MemoryBudget`] — a parsed byte budget (`512MiB`, env
-//!   `DARKLIGHT_MEM_BUDGET`) from which the batch size is *derived*
-//!   instead of guessed, via the [`EstimateBytes`] cost model.
+//! - [`MemoryBudget`] — a parsed byte budget (`512MiB`) from which the
+//!   batch size is *derived* instead of guessed, via the
+//!   [`EstimateBytes`] cost model.
 //! - [`Deadline`] — a cooperative cancellation token checked between
 //!   batch rounds and inside worker chunk loops; expiry is a typed
 //!   [`GovernError::DeadlineExpired`] with a valid checkpoint on disk,
@@ -34,7 +34,7 @@ mod deadline;
 pub mod fault;
 mod retry;
 
-pub use budget::{EstimateBytes, MemoryBudget, MEM_BUDGET_ENV};
+pub use budget::{EstimateBytes, MemoryBudget};
 pub use deadline::{parse_duration, Deadline, Expired};
 pub use retry::{seed_from, with_retry, RetryPolicy};
 
@@ -43,8 +43,8 @@ use std::fmt;
 /// Typed failures raised by the resource governor.
 #[derive(Debug)]
 pub enum GovernError {
-    /// A size string (`--mem-budget`, `DARKLIGHT_MEM_BUDGET`) did not
-    /// parse; the message says what was wrong and what would be accepted.
+    /// A size string (`--mem-budget`) did not parse; the message says
+    /// what was wrong and what would be accepted.
     ParseSize(String),
     /// A duration string (`--deadline`) did not parse.
     ParseDuration(String),
@@ -60,15 +60,6 @@ pub enum GovernError {
     DeadlineExpired {
         /// Rounds completed before expiry.
         rounds_done: u64,
-    },
-    /// An I/O site kept failing after the retry budget was spent.
-    IoExhausted {
-        /// The instrumented site name (e.g. `checkpoint.save`).
-        site: String,
-        /// Total attempts made (initial try + retries).
-        attempts: u32,
-        /// Display form of the last error.
-        last: String,
     },
 }
 
@@ -89,14 +80,6 @@ impl fmt::Display for GovernError {
                  the last completed round is checkpointed — rerun with the same \
                  --checkpoint path (and no or a longer --deadline) to resume"
             ),
-            GovernError::IoExhausted {
-                site,
-                attempts,
-                last,
-            } => write!(
-                f,
-                "i/o at {site} still failing after {attempts} attempts: {last}"
-            ),
         }
     }
 }
@@ -105,8 +88,8 @@ impl std::error::Error for GovernError {}
 
 /// Everything the governor needs to supervise one batched run.
 ///
-/// Default is fully inert: no budget, no deadline, and the default retry
-/// policy (which only matters once an I/O error actually occurs).
+/// Default is fully inert: no budget and no deadline. I/O retries are
+/// not configured here: every retried site uses [`RetryPolicy::default`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct GovernConfig {
     /// Byte budget the pressure ladder enforces; `None` disables
@@ -114,8 +97,6 @@ pub struct GovernConfig {
     pub budget: Option<MemoryBudget>,
     /// Cooperative cancellation token; [`Deadline::none`] never expires.
     pub deadline: Deadline,
-    /// Backoff policy for checkpoint/corpus I/O retries.
-    pub retry: RetryPolicy,
 }
 
 #[cfg(test)]
@@ -139,12 +120,5 @@ mod tests {
         assert!(e.to_string().contains("999"), "{e}");
         let e = GovernError::DeadlineExpired { rounds_done: 4 };
         assert!(e.to_string().contains("4 completed round"), "{e}");
-        let e = GovernError::IoExhausted {
-            site: "checkpoint.save".to_string(),
-            attempts: 4,
-            last: "disk on fire".to_string(),
-        };
-        assert!(e.to_string().contains("checkpoint.save"), "{e}");
-        assert!(e.to_string().contains("disk on fire"), "{e}");
     }
 }

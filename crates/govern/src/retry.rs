@@ -104,9 +104,7 @@ fn splitmix64(mut x: u64) -> u64 {
 /// corruption-class failures (a malformed checkpoint will never succeed
 /// on retry, a timed-out NFS write might). Each performed retry
 /// increments the `govern.io_retries` counter. The final error after
-/// exhaustion is returned unchanged so callers keep their error type;
-/// use [`crate::GovernError::IoExhausted`] at the edge if a govern-typed
-/// error is wanted.
+/// exhaustion is returned unchanged so callers keep their error type.
 ///
 /// # Errors
 ///

@@ -42,12 +42,12 @@
 //!     output is identical at every thread count.
 //!     --batch-size runs the RAM-bounded batched driver (§IV-J);
 //!     --mem-budget runs it under a byte ceiling instead (binary
-//!     units: 512MiB, 2GiB; also the DARKLIGHT_MEM_BUDGET env var),
-//!     deriving the largest admissible batch size — the two flags are
-//!     mutually exclusive, and output is byte-identical to the
-//!     equivalent explicit --batch-size run. --deadline bounds the
-//!     batched rounds (30s, 30m, 2h); an expired run exits 1 leaving
-//!     a valid --checkpoint to resume from.
+//!     units: 512MiB, 2GiB), deriving the largest admissible batch
+//!     size — the two flags are mutually exclusive, and output is
+//!     byte-identical to the equivalent explicit --batch-size run.
+//!     --deadline bounds the batched rounds (30s, 30m, 2h); an
+//!     expired run exits 1 leaving a valid --checkpoint to resume
+//!     from.
 //!     --checkpoint persists batched state after every round and
 //!     resumes from it on restart (implies --batch-size 100 unless
 //!     given). A checkpoint written by a different config/corpus, or
@@ -336,22 +336,24 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str =
-    "usage: darklight <gen|polish|stats|fit|link|profile|obfuscate|bench-matrix> ...\n\
-  gen <out-dir> [--scale small|default|paper] [--seed N]\n\
-  polish <in.tsv> <out.tsv> [--lenient|--strict]\n\
-  stats <in.tsv> [--lenient|--strict]\n\
-  fit <known.tsv> --out <artifact-dir> [--threads N] [--metrics out.json] [--lenient|--strict]\n\
-  link <known.tsv> <unknown.tsv> [--threshold T] [--k K] [--threads N] [--metrics out.json]\n\
-       [--lenient|--strict] [--batch-size B] [--mem-budget SIZE] [--deadline DUR]\n\
-       [--checkpoint state.ckpt]\n\
-  link --artifact <artifact-dir> <unknown.tsv> [--threshold T] [--k K] [--threads N]\n\
-       [--metrics out.json] [--lenient|--strict]\n\
-  profile <corpus.tsv> <alias>\n\
-  obfuscate <in.tsv> <out.tsv>\n\
-  bench-matrix [--out DIR] [--check [DIR]] [--scenarios a,b] [--scales t,s,m,l] [--seed N]\n\
-       [--threads N] [--mem-budget SIZE] [--include-large]\n\
-       [--throughput-tolerance PCT] [--f1-tolerance PTS]\n\
+// Real newlines, not `\n\` continuations: a continuation would also
+// strip the indentation of the line after it.
+const USAGE: &str = "\
+usage: darklight <gen|polish|stats|fit|link|profile|obfuscate|bench-matrix> ...
+  gen <out-dir> [--scale small|default|paper] [--seed N]
+  polish <in.tsv> <out.tsv> [--lenient|--strict]
+  stats <in.tsv> [--lenient|--strict]
+  fit <known.tsv> --out <artifact-dir> [--threads N] [--metrics out.json] [--lenient|--strict]
+  link <known.tsv> <unknown.tsv> [--threshold T] [--k K] [--threads N] [--metrics out.json]
+       [--lenient|--strict] [--batch-size B] [--mem-budget SIZE] [--deadline DUR]
+       [--checkpoint state.ckpt]
+  link --artifact <artifact-dir> <unknown.tsv> [--threshold T] [--k K] [--threads N]
+       [--metrics out.json] [--lenient|--strict]
+  profile <corpus.tsv> <alias>
+  obfuscate <in.tsv> <out.tsv>
+  bench-matrix [--out DIR] [--check [DIR]] [--scenarios a,b] [--scales t,s,m,l] [--seed N]
+       [--threads N] [--mem-budget SIZE] [--include-large]
+       [--throughput-tolerance PCT] [--f1-tolerance PTS]
 exit codes: 0 success, 1 data/io error (or failed bench-matrix --check), 2 usage error";
 
 /// Flags that take no value; every other flag but `--check` consumes
@@ -612,20 +614,14 @@ fn cmd_link(args: &Args) -> Result<(), CliError> {
             .map_err(|_| usage("--batch-size must be an integer"))?;
         config.batch = Some(BatchConfig { batch_size });
     }
-    match args.value("--mem-budget") {
-        Some(_) if config.batch.is_some() => {
+    if let Some(s) = args.value("--mem-budget") {
+        if config.batch.is_some() {
             return Err(usage(
                 "--batch-size and --mem-budget are mutually exclusive: give an explicit \
                  batch size or let the budget derive one, not both",
             ));
         }
-        Some(s) => {
-            config.two_stage.govern.budget = Some(MemoryBudget::parse(s).map_err(usage)?);
-        }
-        // The environment variable is a softer signal than the flag: it
-        // composes with an explicit --batch-size, acting as a guard-rail
-        // (the pressure ladder shrinks rounds that would breach it).
-        None => config.two_stage.govern.budget = MemoryBudget::from_env().map_err(usage)?,
+        config.two_stage.govern.budget = Some(MemoryBudget::parse(s).map_err(usage)?);
     }
     if let Some(p) = args.value("--checkpoint") {
         // Checkpoints only exist for the batched driver; default to the

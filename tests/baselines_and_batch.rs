@@ -115,7 +115,7 @@ fn batched_pipeline_close_to_unbatched() {
     let ae = &w.reddit.alter_egos;
     let e = engine();
     let unbatched = e.run(known, ae);
-    let batched = run_batched(&e, &BatchConfig { batch_size: 25 }, known, ae).unwrap();
+    let batched = run_batched(&e, &BatchConfig { batch_size: 25 }, known, ae, None).unwrap();
     assert_eq!(unbatched.len(), batched.len());
     // Top-match agreement on the vast majority of unknowns.
     let agree = unbatched

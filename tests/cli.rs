@@ -36,6 +36,8 @@ fn help_prints_usage() {
     let text = String::from_utf8_lossy(&out.stderr);
     assert!(text.contains("usage:"));
     assert!(text.contains("link"));
+    // Subcommand lines stay indented under `usage:`.
+    assert!(text.contains("\n  gen <out-dir>"), "{text}");
 }
 
 #[test]
@@ -323,6 +325,48 @@ fn mem_budget_link_succeeds_end_to_end() {
     );
     let table = String::from_utf8_lossy(&out.stdout);
     assert!(table.starts_with("unknown_alias\tknown_alias\tscore"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Only `--mem-budget` sets a budget: an exported `DARKLIGHT_MEM_BUDGET`
+/// (a variable earlier versions read) leaves a plain link unbatched.
+#[test]
+fn exported_mem_budget_variable_leaves_a_plain_link_unbatched() {
+    let dir = temp_dir("membudget_env");
+    let out = bin()
+        .args([
+            "gen",
+            dir.to_str().unwrap(),
+            "--scale",
+            "small",
+            "--seed",
+            "3",
+        ])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let metrics = dir.join("m.json");
+    let out = bin()
+        .args([
+            "link",
+            dir.join("reddit.tsv").to_str().unwrap(),
+            dir.join("tmg.tsv").to_str().unwrap(),
+            "--threshold",
+            "0.3",
+            "--metrics",
+            metrics.to_str().unwrap(),
+        ])
+        .env("DARKLIGHT_MEM_BUDGET", "24MiB")
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let snapshot = std::fs::read_to_string(&metrics).unwrap();
+    assert!(snapshot.contains("\"features.fits\""), "{snapshot}");
+    assert!(!snapshot.contains("\"batch."), "{snapshot}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

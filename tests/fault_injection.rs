@@ -13,9 +13,7 @@
 //! run is as deterministic as a healthy one: the same items are hit at
 //! every thread count. The thread-parity assertions below pin that.
 
-use darklight::core::batch::{
-    run_batched, run_batched_checkpointed, BatchConfig, BatchError, CheckpointSpec,
-};
+use darklight::core::batch::{run_batched, BatchConfig, BatchError};
 use darklight::core::dataset::{Dataset, DatasetBuilder};
 use darklight::core::twostage::{TwoStage, TwoStageConfig};
 use darklight::core::FitArtifact;
@@ -194,8 +192,8 @@ fn kill_and_resume_is_byte_identical_across_thread_counts() {
     let config = BatchConfig { batch_size: 4 };
     for threads in [1usize, 2] {
         let e = engine(threads, PipelineMetrics::disabled());
-        let uninterrupted = run_batched(&e, &config, &known, &unknown).unwrap();
-        let spec = CheckpointSpec::new(ckpt_path(&format!("resume_t{threads}.ckpt")));
+        let uninterrupted = run_batched(&e, &config, &known, &unknown, None).unwrap();
+        let path = ckpt_path(&format!("resume_t{threads}.ckpt"));
         let killed = TwoStage::new(TwoStageConfig {
             govern: GovernConfig {
                 deadline: Deadline::after_rounds(1),
@@ -203,7 +201,7 @@ fn kill_and_resume_is_byte_identical_across_thread_counts() {
             },
             ..e.config().clone()
         });
-        let err = run_batched_checkpointed(&killed, &config, &known, &unknown, &spec).unwrap_err();
+        let err = run_batched(&killed, &config, &known, &unknown, Some(&path)).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -211,13 +209,13 @@ fn kill_and_resume_is_byte_identical_across_thread_counts() {
             ),
             "{err}"
         );
-        assert!(spec.path.exists());
-        let resumed = run_batched_checkpointed(&e, &config, &known, &unknown, &spec).unwrap();
+        assert!(path.exists());
+        let resumed = run_batched(&e, &config, &known, &unknown, Some(&path)).unwrap();
         assert_eq!(
             uninterrupted, resumed,
             "kill-and-resume diverged at {threads} thread(s)"
         );
-        assert!(!spec.path.exists(), "checkpoint not cleaned up");
+        assert!(!path.exists(), "checkpoint not cleaned up");
     }
 }
 

@@ -11,8 +11,7 @@
 //! all governor soak assertions in this one file.
 
 use darklight::core::batch::{
-    budget_overhead_bytes, budget_per_candidate_bytes, run_batched_checkpointed, BatchConfig,
-    CheckpointSpec,
+    budget_overhead_bytes, budget_per_candidate_bytes, run_batched, BatchConfig,
 };
 use darklight::core::dataset::{Dataset, DatasetBuilder};
 use darklight::core::twostage::{TwoStage, TwoStageConfig};
@@ -108,17 +107,17 @@ fn governed_soak_completes_under_faults_and_tiny_budget() {
     .unwrap();
     let config = BatchConfig { batch_size: 8 };
     let metrics = PipelineMetrics::enabled();
-    let spec = CheckpointSpec::new(ckpt_path("soak.json"));
-    let results = run_batched_checkpointed(
+    let path = ckpt_path("soak.json");
+    let results = run_batched(
         &governed_engine(budget, metrics.clone()),
         &config,
         &known,
         &unknown,
-        &spec,
+        Some(&path),
     )
     .unwrap();
     assert_eq!(results.len(), unknown.len());
-    assert!(!spec.path.exists(), "checkpoint removed on success");
+    assert!(!path.exists(), "checkpoint removed on success");
     // The pressure ladder engaged: two halvings, the breaching estimate
     // recorded, and the effective batch size landing at 2.
     assert_eq!(metrics.counter("govern.batch_shrinks").get(), 2);
@@ -138,12 +137,12 @@ fn governed_soak_completes_under_faults_and_tiny_budget() {
     assert!(metrics.counter("batch.rounds").get() >= 2);
     // A second identical run (faults now exhausted) must produce the
     // exact same rankings: retries and panics never change output bytes.
-    let again = run_batched_checkpointed(
+    let again = run_batched(
         &governed_engine(budget, PipelineMetrics::enabled()),
         &config,
         &known,
         &unknown,
-        &spec,
+        Some(&path),
     )
     .unwrap();
     assert_eq!(results, again, "faulted and clean runs diverged");

@@ -104,9 +104,9 @@ fn records_from_two_builds_link_like_one_build() {
     assert_eq!(bits(&engine.run(&known_mixed, &unknown_mixed)), expected);
 
     let batch = BatchConfig { batch_size: 4 };
-    let batched = bits(&run_batched(&engine, &batch, &known, &unknown).unwrap());
+    let batched = bits(&run_batched(&engine, &batch, &known, &unknown, None).unwrap());
     assert_eq!(
-        bits(&run_batched(&engine, &batch, &known_mixed, &unknown_mixed).unwrap()),
+        bits(&run_batched(&engine, &batch, &known_mixed, &unknown_mixed, None).unwrap()),
         batched
     );
 }

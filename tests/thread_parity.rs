@@ -8,8 +8,7 @@
 //! `Linker::link` flow.
 
 use darklight::core::batch::{
-    budget_overhead_bytes, budget_per_candidate_bytes, run_batched, run_batched_checkpointed,
-    BatchConfig, BatchError, CheckpointSpec,
+    budget_overhead_bytes, budget_per_candidate_bytes, run_batched, BatchConfig, BatchError,
 };
 use darklight::core::dataset::{Dataset, DatasetBuilder};
 use darklight::core::linker::{Linker, LinkerConfig};
@@ -132,10 +131,10 @@ fn run_batched_identical_across_thread_counts() {
         })
     };
     let batch = BatchConfig { batch_size: 3 };
-    let baseline = run_batched(&small_engine(1), &batch, &known, &unknown).unwrap();
+    let baseline = run_batched(&small_engine(1), &batch, &known, &unknown, None).unwrap();
     for threads in THREAD_COUNTS {
         assert_eq!(
-            run_batched(&small_engine(threads), &batch, &known, &unknown).unwrap(),
+            run_batched(&small_engine(threads), &batch, &known, &unknown, None).unwrap(),
             baseline,
             "run_batched diverged at {threads} threads"
         );
@@ -176,10 +175,10 @@ fn governed_budget_identical_to_derived_fixed_batch_across_threads() {
             ..TwoStageConfig::default()
         })
     };
-    let baseline = run_batched(&fixed_engine(1), &derived, &known, &unknown).unwrap();
+    let baseline = run_batched(&fixed_engine(1), &derived, &known, &unknown, None).unwrap();
     for threads in [1, 2, 7] {
         assert_eq!(
-            run_batched(&governed_engine(threads), &derived, &known, &unknown).unwrap(),
+            run_batched(&governed_engine(threads), &derived, &known, &unknown, None).unwrap(),
             baseline,
             "governed run diverged at {threads} threads"
         );
@@ -202,20 +201,25 @@ fn deadline_expiry_and_resume_identical_across_threads() {
             ..TwoStageConfig::default()
         })
     };
-    let baseline =
-        run_batched(&engine_with(1, Deadline::none()), &batch, &known, &unknown).unwrap();
+    let baseline = run_batched(
+        &engine_with(1, Deadline::none()),
+        &batch,
+        &known,
+        &unknown,
+        None,
+    )
+    .unwrap();
     for threads in [1usize, 2, 7] {
         let path = std::env::temp_dir().join(format!(
             "darklight_parity_deadline_{threads}_{}.json",
             std::process::id()
         ));
         std::fs::remove_file(&path).ok();
-        let spec = CheckpointSpec::new(path.clone());
         // One round is allowed, then the deadline trips at the next
         // round boundary — identically at every thread count, because
         // workers only ever observe the already-tripped flag.
         let strict = engine_with(threads, Deadline::after_rounds(1));
-        let err = run_batched_checkpointed(&strict, &batch, &known, &unknown, &spec).unwrap_err();
+        let err = run_batched(&strict, &batch, &known, &unknown, Some(&path)).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -225,7 +229,7 @@ fn deadline_expiry_and_resume_identical_across_threads() {
         );
         assert!(path.exists(), "expiry must leave a checkpoint behind");
         let relaxed = engine_with(threads, Deadline::none());
-        let resumed = run_batched_checkpointed(&relaxed, &batch, &known, &unknown, &spec).unwrap();
+        let resumed = run_batched(&relaxed, &batch, &known, &unknown, Some(&path)).unwrap();
         assert_eq!(
             resumed, baseline,
             "deadline + resume diverged at {threads} threads"
