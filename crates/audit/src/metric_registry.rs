@@ -29,7 +29,6 @@ pub const METRIC_REGISTRY: &[&str] = &[
     "batch.resumed",
     "batch.resumed_round",
     "batch.rounds",
-    "batch.stalled",
     "batch.total",
     "dataset.build",
     "dataset.records_built",

@@ -127,7 +127,7 @@ pub fn lemmatization_ablation(ctx: &Ctx) -> String {
     let (w1, _) = ctx.w_splits();
     // "Off" needs re-prepared datasets without the lemmatizer; rebuild from
     // the refined corpora.
-    let raw_builder = DatasetBuilderNoLemma::new();
+    let raw_builder = DatasetBuilder::new().without_lemmatization();
     let known_raw = raw_builder.build(&ctx.world.reddit.originals_corpus);
     let ae_raw = raw_builder.build(&ctx.world.reddit.alter_egos_corpus);
     let n = w1.len();
@@ -232,47 +232,4 @@ pub fn obfuscation_defence(ctx: &Ctx) -> String {
         t.to_markdown()
     );
     out
-}
-
-/// Dataset builder without lemmatization (for the ablation).
-struct DatasetBuilderNoLemma;
-
-impl DatasetBuilderNoLemma {
-    fn new() -> DatasetBuilderNoLemma {
-        DatasetBuilderNoLemma
-    }
-
-    fn build(&self, corpus: &darklight_corpus::model::Corpus) -> Dataset {
-        use darklight_activity::profile::{ProfileBuilder, ProfilePolicy};
-        use darklight_corpus::refine::select_text;
-        use darklight_features::pipeline::{CountedDoc, PreparedDoc};
-        let profiles = ProfileBuilder::new(ProfilePolicy::default());
-        let texts: Vec<String> = corpus
-            .users
-            .iter()
-            .map(|user| select_text(user, darklight_core::PAPER_WORD_BUDGET))
-            .collect();
-        let docs: Vec<PreparedDoc> = texts
-            .iter()
-            .map(|t| PreparedDoc::prepare(t, None))
-            .collect();
-        let counted = CountedDoc::count_all(&docs.iter().collect::<Vec<_>>(), 3, 5, 1);
-        let records = corpus
-            .users
-            .iter()
-            .zip(texts.into_iter().zip(docs).zip(counted))
-            .map(
-                |(user, ((text, doc), counted))| darklight_core::dataset::Record {
-                    alias: user.alias.clone(),
-                    persona: user.persona,
-                    facts: user.facts.clone(),
-                    text,
-                    doc,
-                    counted,
-                    profile: profiles.build(&user.timestamps()).ok(),
-                },
-            )
-            .collect();
-        Dataset::new(corpus.name.clone(), records)
-    }
 }

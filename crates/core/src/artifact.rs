@@ -16,10 +16,10 @@
 //! `HashMap` or a recomputation that could drift:
 //!
 //! * per record it stores the *selected text* and the activity
-//!   *hour counts*; the prepared/counted documents are rebuilt with the
-//!   same pure functions the fit used ([`PreparedDoc::prepare`],
-//!   [`CountedDoc::from_prepared`]), and profile shares renormalize from
-//!   the counts exactly;
+//!   *hour counts*; the counted documents are rebuilt by the routine
+//!   that made the records when the dataset was built (prepare, then
+//!   [`CountedDoc::count_all`](darklight_features::pipeline::CountedDoc::count_all)),
+//!   and profile shares renormalize from the counts exactly;
 //! * vocabularies are stored as terms in dense-index order plus
 //!   document frequencies; IDF is recomputed by `TfIdf::fit`, a pure
 //!   function of the vocabulary;
@@ -39,17 +39,16 @@
 use darklight_activity::profile::{DailyActivityProfile, HOURS};
 use darklight_corpus::model::{Fact, FactKind};
 use darklight_features::lexicon::Lexicon;
-use darklight_features::pipeline::{CountedDoc, FeatureConfig, FeatureSpace, PreparedDoc};
+use darklight_features::pipeline::{FeatureConfig, FeatureSpace};
 use darklight_features::sparse::SparseVector;
 use darklight_features::vocab::Vocabulary;
 use darklight_store::codec::{Reader, Writer};
 use darklight_store::{Container, EpochStore, Fnv1a, StoreError};
-use darklight_text::lemma::Lemmatizer;
 use std::sync::Arc;
 
 use crate::attrib::CandidateIndex;
 use crate::batch::{hash_dataset, hash_feature_config};
-use crate::dataset::{Dataset, Record};
+use crate::dataset::{count_records, Dataset, Uncounted};
 use crate::twostage::{DocView, TwoStage, TwoStageConfig};
 
 /// Version of the artifact *schema* (what the sections mean), separate
@@ -329,15 +328,6 @@ fn encode_dataset(ds: &Dataset) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// The stored fields of one record, before document reconstruction.
-struct RawRecord {
-    alias: String,
-    persona: Option<u64>,
-    facts: Vec<Fact>,
-    text: String,
-    profile: Option<DailyActivityProfile>,
-}
-
 fn decode_dataset(bytes: &[u8], threads: usize) -> Result<Dataset, StoreError> {
     let mut r = Reader::new(bytes);
     let name = r.get_str()?.to_string();
@@ -385,7 +375,7 @@ fn decode_dataset(bytes: &[u8], threads: usize) -> Result<Dataset, StoreError> {
                 )))
             }
         };
-        raw.push(RawRecord {
+        raw.push(Uncounted {
             alias,
             persona,
             facts,
@@ -394,34 +384,10 @@ fn decode_dataset(bytes: &[u8], threads: usize) -> Result<Dataset, StoreError> {
         });
     }
     r.expect_end()?;
-    // Rebuild the derived document state with the same pure functions
-    // the original dataset build used; per-record work is independent,
-    // so output is identical for every thread count.
-    let lemmatizer = Lemmatizer::new();
-    let threads = threads.max(1);
-    let docs = darklight_par::par_map(&raw, threads, |_, rr| {
-        PreparedDoc::prepare(&rr.text, Some(&lemmatizer))
-    });
-    let counted = CountedDoc::count_all(
-        &docs.iter().collect::<Vec<_>>(),
-        max_word_n,
-        max_char_n,
-        threads,
-    );
-    let records = raw
-        .into_iter()
-        .zip(docs)
-        .zip(counted)
-        .map(|((rr, doc), counted)| Record {
-            alias: rr.alias,
-            persona: rr.persona,
-            facts: rr.facts,
-            text: rr.text,
-            doc,
-            counted,
-            profile: rr.profile,
-        })
-        .collect();
+    // Rebuild the counts with the routine the original dataset build
+    // used; it is a pure per-record function of the text, so output is
+    // identical for every thread count.
+    let records = count_records(raw, true, None, (max_word_n, max_char_n), threads.max(1));
     Ok(Dataset::with_orders(name, records, max_word_n, max_char_n))
 }
 

@@ -3,9 +3,11 @@
 //! When the known set is too large for memory, the paper splits it into
 //! batches of `B` aliases, runs 10-attribution within each batch, pools the
 //! per-batch survivors, and repeats until at most `B` candidates remain;
-//! the final two-stage step then runs on that reduced set. Validated in
-//! the paper with `B = 100`, giving precision 91% / recall 81% at the
-//! global threshold — within a few points of the unbatched pipeline.
+//! the final two-stage step then runs on that reduced set. A `B` no
+//! larger than `k` cannot drop a candidate, so such a run goes straight
+//! to the final step. Validated in the paper with `B = 100`, giving
+//! precision 91% / recall 81% at the global threshold — within a few
+//! points of the unbatched pipeline.
 //!
 //! [`run_batched`] is the one entry point. Its unit of work is a *pool
 //! group*: the unknowns that currently hold an identical candidate pool.
@@ -43,10 +45,10 @@
 //!   `govern.batch_shrinks` and `govern.bytes_estimated`. `B` never
 //!   grows back: shrinking is a memory-safety decision, re-growing
 //!   would make output depend on when pressure happened to ease.
-//! * **Deadline** — checked between rounds, between pool groups, between
-//!   batches, and inside the parallel fan-out's chunk loops. Expiry
-//!   abandons the partial round wholesale (so output stays
-//!   thread-count-invariant) and surfaces
+//! * **Deadline** — checked between rounds, before each pool group of
+//!   the parallel fan-out, and between batches. Expiry abandons the
+//!   partial round wholesale (so output stays thread-count-invariant)
+//!   and surfaces
 //!   [`darklight_govern::GovernError::DeadlineExpired`] with the last
 //!   completed round's checkpoint intact on disk. The final step, once
 //!   reached, always runs to completion.
@@ -546,12 +548,11 @@ where
     });
     let mut batch_size = config.batch_size;
     // Iterate rounds until every unknown's pool fits in one batch. Each
-    // round applies k-attribution within batches of B. A round maps each
-    // pool to a subset of itself, so pools shrink monotonically — but
-    // when `batch_size <= k` every batch keeps all its members and the
-    // pool is a fixed point. A round that changes nothing would repeat
-    // forever (the map is deterministic), so bail out and let the final
-    // stage rescore the oversized pools instead of hanging.
+    // round applies k-attribution within batches of B. With B > k every
+    // full batch drops members, so each round strictly shrinks the
+    // largest pool; with B <= k every batch keeps all its members, a
+    // round would change nothing, and the final stage takes the pools
+    // as they are.
     loop {
         let max_pool = survivors.iter().map(Vec::len).max().unwrap_or(0);
         peak_pool.set_max(max_pool as i64);
@@ -583,6 +584,9 @@ where
                 metrics.gauge("batch.batch_size").set(batch_size as i64);
             }
         }
+        if batch_size <= engine.config().k {
+            break;
+        }
         rounds.incr();
         // A mid-round expiry discards the whole round's partial work —
         // all-or-nothing — so the surviving pools (and any checkpoint)
@@ -608,17 +612,10 @@ where
                 next[u] = pool;
             }
         }
-        let stalled = next == survivors;
         survivors = next;
-        if stalled {
-            metrics.counter("batch.stalled").incr();
-        }
         rounds_done += 1;
         after_round(rounds_done, &survivors)?;
         deadline.tick_round();
-        if stalled {
-            break;
-        }
     }
     Ok(finalize(engine, known, &unknown, &survivors))
 }
@@ -912,9 +909,9 @@ mod tests {
     #[test]
     fn batch_no_larger_than_k_terminates() {
         // With batch_size <= k every batch keeps all its members, so no
-        // round can shrink the pool; the stall guard must break out
-        // instead of looping forever, and the final stage still ranks
-        // every unknown against its (oversized) pool.
+        // round can shrink the pool; the driver must run none instead of
+        // looping forever, and the final stage still ranks every unknown
+        // against its (oversized) pool.
         use darklight_obs::PipelineMetrics;
         let (known, unknown) = world();
         let metrics = PipelineMetrics::enabled();
@@ -926,10 +923,9 @@ mod tests {
         });
         let results =
             run_batched(&e, &BatchConfig { batch_size: 3 }, &known, &unknown, None).unwrap();
-        assert_eq!(metrics.counter("batch.stalled").get(), 1);
-        // One fit per batch of the stalled round, then one for the pool
-        // every unknown still shares.
-        assert_eq!(metrics.counter("features.fits").get(), 4 + 1);
+        assert_eq!(metrics.counter("batch.rounds").get(), 0);
+        // One fit, for the whole known set every unknown still shares.
+        assert_eq!(metrics.counter("features.fits").get(), 1);
         assert_eq!(results.len(), unknown.len());
         for m in &results {
             let best = m.best().expect("candidates exist");

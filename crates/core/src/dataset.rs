@@ -2,10 +2,13 @@
 //!
 //! A [`Dataset`] is a polished corpus reduced to what the attribution
 //! engine consumes: per alias, the 1,500-word longest-first text selection
-//! (§IV-D), its prepared/precounted form, and the daily activity profile
-//! (when the alias has enough usable timestamps). Ground-truth metadata
-//! (persona ids, leaked facts) rides along untouched for the evaluation
-//! layer.
+//! (§IV-D), its n-gram counts, and the daily activity profile (when the
+//! alias has enough usable timestamps). Ground-truth metadata (persona
+//! ids, leaked facts) rides along untouched for the evaluation layer.
+//!
+//! Every record is made by one routine, `count_records`: it prepares
+//! each text (tokenized, lowercased, lemmatized), counts it, and drops
+//! the prepared form, so a record holds its text once.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -30,12 +33,62 @@ pub struct Record {
     pub facts: Vec<Fact>,
     /// The selected text (longest-first, word-budgeted).
     pub text: String,
-    /// Tokenized/lemmatized form of `text`.
-    pub doc: PreparedDoc,
-    /// Precomputed n-gram counts of `doc`.
+    /// The n-gram counts of `text` (tokenized and, by default,
+    /// lemmatized).
     pub counted: CountedDoc,
     /// The daily activity profile, when buildable.
     pub profile: Option<DailyActivityProfile>,
+}
+
+/// A record's fields before its text is counted.
+pub(crate) struct Uncounted {
+    pub(crate) alias: String,
+    pub(crate) persona: Option<u64>,
+    pub(crate) facts: Vec<Fact>,
+    pub(crate) text: String,
+    pub(crate) profile: Option<DailyActivityProfile>,
+}
+
+/// Makes records: prepares each text (tokenized, lowercased, lemmatized
+/// when `lemmatize`), keeps its first `max_words` word tokens when given,
+/// and counts every document at `orders` (word and char n-gram maxima)
+/// into one new lexicon the records share. The prepared documents are
+/// dropped once counted. Preparation is per record and counting is
+/// thread-invariant (see [`CountedDoc::count_all`]), so the records are
+/// the same for every thread count.
+pub(crate) fn count_records(
+    parts: Vec<Uncounted>,
+    lemmatize: bool,
+    max_words: Option<usize>,
+    (max_word_n, max_char_n): (usize, usize),
+    threads: usize,
+) -> Vec<Record> {
+    let lemmatizer = lemmatize.then(Lemmatizer::new);
+    let docs = darklight_par::par_map(&parts, threads, |_, part| {
+        let doc = PreparedDoc::prepare(&part.text, lemmatizer.as_ref());
+        match max_words {
+            Some(words) => doc.truncate_words(words),
+            None => doc,
+        }
+    });
+    let counted = CountedDoc::count_all(
+        &docs.iter().collect::<Vec<_>>(),
+        max_word_n,
+        max_char_n,
+        threads,
+    );
+    parts
+        .into_iter()
+        .zip(counted)
+        .map(|(part, counted)| Record {
+            alias: part.alias,
+            persona: part.persona,
+            facts: part.facts,
+            text: part.text,
+            counted,
+            profile: part.profile,
+        })
+        .collect()
 }
 
 /// A named set of attribution-ready records.
@@ -154,37 +207,25 @@ impl Dataset {
         self.alias_index.get(alias).copied()
     }
 
-    /// Restricts every record's document to the first `words` word tokens
-    /// (the Table III word-budget sweep). Profiles are kept as they are —
-    /// the sweep varies text, not timestamps. Recounting preserves the
-    /// dataset's configured n-gram maxima.
+    /// Restricts every record's counts to the first `words` word tokens
+    /// of its text (the Table III word-budget sweep), re-preparing the
+    /// text as [`DatasetBuilder`] does by default, lemmatized. The text
+    /// and the profile are kept as they are — the sweep varies counted
+    /// words, not timestamps. Recounting preserves the dataset's
+    /// configured n-gram maxima.
     pub fn with_word_budget(&self, words: usize) -> Dataset {
-        let docs: Vec<PreparedDoc> = self
+        let parts = self
             .records
             .iter()
-            .map(|r| r.doc.truncate_words(words))
-            .collect();
-        let counted = CountedDoc::count_all(
-            &docs.iter().collect::<Vec<_>>(),
-            self.max_word_n,
-            self.max_char_n,
-            1,
-        );
-        let records = self
-            .records
-            .iter()
-            .zip(docs)
-            .zip(counted)
-            .map(|((r, doc), counted)| Record {
+            .map(|r| Uncounted {
                 alias: r.alias.clone(),
                 persona: r.persona,
                 facts: r.facts.clone(),
                 text: r.text.clone(),
-                doc,
-                counted,
                 profile: r.profile.clone(),
             })
             .collect();
+        let records = count_records(parts, true, Some(words), self.ngram_orders(), 1);
         Dataset::with_orders(self.name.clone(), records, self.max_word_n, self.max_char_n)
     }
 
@@ -208,12 +249,11 @@ impl Dataset {
 impl EstimateBytes for Record {
     fn estimate_bytes(&self) -> u64 {
         // The attribution working set per alias: the selected text, its
-        // prepared and counted forms, and the activity profile. Ground
-        // truth (persona id, facts) is charged a flat overhead — it is
-        // carried, not expanded, by the pipeline.
+        // counts and the activity profile. Ground truth (persona id,
+        // facts) is charged a flat overhead — it is carried, not
+        // expanded, by the pipeline.
         self.alias.len() as u64
             + self.text.len() as u64
-            + self.doc.estimate_bytes()
             + self.counted.estimate_bytes()
             + self
                 .profile
@@ -239,25 +279,20 @@ impl EstimateBytes for Dataset {
     }
 }
 
-/// Builds [`Dataset`]s from corpora.
+/// Builds [`Dataset`]s from corpora with the paper's selection and
+/// profile settings: per alias, the 1,500-word longest-first text
+/// (§IV-D) and the default [`ProfilePolicy`] (UTC, 30 timestamps,
+/// weekends and holidays excluded).
 #[derive(Debug)]
 pub struct DatasetBuilder {
-    /// Word budget per alias (paper: 1,500).
-    pub word_budget: usize,
-    /// Profile policy (paper defaults: UTC, 30 timestamps, weekends and
-    /// holidays excluded).
-    pub profile_policy: ProfilePolicy,
-    /// Maximum word n-gram length to precount (paper: 3). Must cover the
-    /// largest `max_word_n` of any [`FeatureConfig`] fitted on the
-    /// records — see [`with_ngram_orders`](DatasetBuilder::with_ngram_orders).
-    ///
-    /// [`FeatureConfig`]: darklight_features::pipeline::FeatureConfig
-    pub max_word_n: usize,
-    /// Maximum char n-gram length to precount (paper: 5).
-    pub max_char_n: usize,
+    /// Maximum word and char n-gram lengths to precount (paper: 3 and
+    /// 5) — see [`with_ngram_orders`](DatasetBuilder::with_ngram_orders).
+    max_word_n: usize,
+    max_char_n: usize,
     /// Worker threads for per-alias preparation (0 = auto).
-    pub threads: usize,
-    lemmatizer: Lemmatizer,
+    threads: usize,
+    /// Lemmatize word tokens (the paper does).
+    lemmatize: bool,
     metrics: PipelineMetrics,
 }
 
@@ -265,20 +300,12 @@ impl DatasetBuilder {
     /// Builder with the paper's settings.
     pub fn new() -> DatasetBuilder {
         DatasetBuilder {
-            word_budget: crate::PAPER_WORD_BUDGET,
-            profile_policy: ProfilePolicy::default(),
             max_word_n: crate::PAPER_MAX_WORD_N,
             max_char_n: crate::PAPER_MAX_CHAR_N,
             threads: 0,
-            lemmatizer: Lemmatizer::new(),
+            lemmatize: true,
             metrics: PipelineMetrics::disabled(),
         }
-    }
-
-    /// Sets the per-alias word budget.
-    pub fn with_word_budget(mut self, words: usize) -> DatasetBuilder {
-        self.word_budget = words;
-        self
     }
 
     /// Sets the n-gram maxima records are precounted at. Pass the largest
@@ -295,6 +322,13 @@ impl DatasetBuilder {
         self
     }
 
+    /// Counts word tokens as written (lowercased) instead of by lemma —
+    /// the lemmatization ablation.
+    pub fn without_lemmatization(mut self) -> DatasetBuilder {
+        self.lemmatize = false;
+        self
+    }
+
     /// Sets the worker-thread count for [`build`](DatasetBuilder::build)
     /// (0 = auto-detect; see [`darklight_par::resolve_threads`]).
     pub fn with_threads(mut self, threads: usize) -> DatasetBuilder {
@@ -308,43 +342,29 @@ impl DatasetBuilder {
         self
     }
 
-    /// Builds the dataset: selects text, prepares and counts documents,
-    /// builds activity profiles. Aliases whose profile cannot be built
-    /// keep `profile = None` (their vectors simply lack the activity
-    /// block).
+    /// Builds the dataset: selects text, builds activity profiles, then
+    /// prepares and counts the texts. Aliases whose profile cannot be
+    /// built keep `profile = None` (their vectors simply lack the
+    /// activity block).
     ///
-    /// Per-alias preparation (select text → tokenize → lemmatize →
-    /// profile) is independent across aliases and runs on the configured
-    /// worker pool, and so does counting (see [`CountedDoc::count_all`]);
+    /// Per-alias work (select text → profile → tokenize → lemmatize) is
+    /// independent across aliases and runs on the configured worker
+    /// pool, and so does counting (see [`CountedDoc::count_all`]);
     /// output — term ids included — is the same for every thread count.
     pub fn build(&self, corpus: &Corpus) -> Dataset {
         let _build = self.metrics.timer("dataset.build").start();
         let threads = darklight_par::resolve_threads(self.threads);
         self.metrics.gauge("dataset.threads").set(threads as i64);
-        let profiles = ProfileBuilder::new(self.profile_policy);
-        let prepared = darklight_par::par_map(&corpus.users, threads, |_, user| {
-            let text = select_text(user, self.word_budget);
-            let doc = PreparedDoc::prepare(&text, Some(&self.lemmatizer));
-            (text, doc, profiles.build(&user.timestamps()).ok())
+        let profiles = ProfileBuilder::new(ProfilePolicy::default());
+        let parts = darklight_par::par_map(&corpus.users, threads, |_, user| Uncounted {
+            alias: user.alias.clone(),
+            persona: user.persona,
+            facts: user.facts.clone(),
+            text: select_text(user, crate::PAPER_WORD_BUDGET),
+            profile: profiles.build(&user.timestamps()).ok(),
         });
-        // Count and intern every gram once; ids follow record order.
-        let docs: Vec<&PreparedDoc> = prepared.iter().map(|(_, doc, _)| doc).collect();
-        let counted = CountedDoc::count_all(&docs, self.max_word_n, self.max_char_n, threads);
-        let records: Vec<Record> = corpus
-            .users
-            .iter()
-            .zip(prepared)
-            .zip(counted)
-            .map(|((user, (text, doc, profile)), counted)| Record {
-                alias: user.alias.clone(),
-                persona: user.persona,
-                facts: user.facts.clone(),
-                text,
-                doc,
-                counted,
-                profile,
-            })
-            .collect();
+        let orders = (self.max_word_n, self.max_char_n);
+        let records = count_records(parts, self.lemmatize, None, orders, threads);
         self.metrics
             .counter("dataset.records_built")
             .add(records.len() as u64);
@@ -394,29 +414,19 @@ mod tests {
         assert_eq!(ds.len(), 2);
         let writer = &ds.records[ds.index_of("writer").unwrap()];
         assert!(writer.profile.is_some());
-        assert!(writer.doc.word_len() > 100);
+        assert!(writer.counted.word_len() > 100);
         let thin = &ds.records[ds.index_of("thin").unwrap()];
         assert!(thin.profile.is_none());
-    }
-
-    #[test]
-    fn word_budget_respected() {
-        let ds = DatasetBuilder::new().with_word_budget(50).build(&corpus());
-        let writer = &ds.records[0];
-        // Longest-first selection stops once the budget is crossed; the
-        // last message may overshoot by one message's worth.
-        assert!(writer.doc.word_len() >= 50);
-        assert!(writer.doc.word_len() < 50 + 25);
     }
 
     #[test]
     fn with_word_budget_truncates() {
         let ds = DatasetBuilder::new().build(&corpus());
         let cut = ds.with_word_budget(30);
-        assert_eq!(cut.records[0].doc.word_len(), 30);
+        assert_eq!(cut.records[0].counted.word_len(), 30);
         assert_eq!(
-            cut.records[1].doc.word_len().min(30),
-            cut.records[1].doc.word_len()
+            cut.records[1].counted.word_len().min(30),
+            cut.records[1].counted.word_len()
         );
     }
 

@@ -10,6 +10,7 @@
 
 use crate::dataset::Record;
 use darklight_features::lexicon::TermCounts;
+use std::collections::HashSet;
 use std::fmt;
 
 /// One piece of shared stylometric evidence.
@@ -109,8 +110,8 @@ pub fn explain_pair(a: &Record, b: &Record) -> MatchExplanation {
         _ => (None, Vec::new()),
     };
 
-    let uni_a: std::collections::HashSet<&String> = a.doc.words().iter().collect();
-    let uni_b: std::collections::HashSet<&String> = b.doc.words().iter().collect();
+    let uni_a = word_unigrams(a_counts.word_counts());
+    let uni_b = word_unigrams(b_counts.word_counts());
     let union = uni_a.union(&uni_b).count();
     let vocabulary_overlap = if union == 0 {
         0.0
@@ -125,6 +126,16 @@ pub fn explain_pair(a: &Record, b: &Record) -> MatchExplanation {
         common_active_hours,
         vocabulary_overlap,
     }
+}
+
+/// The distinct word tokens of a counted document: its word terms
+/// without a space (longer n-grams join their tokens with one).
+fn word_unigrams(counts: TermCounts<'_>) -> HashSet<&str> {
+    counts
+        .terms()
+        .map(|(term, _)| term)
+        .filter(|term| !term.contains(' '))
+        .collect()
 }
 
 fn top_shared(
@@ -158,8 +169,7 @@ mod tests {
     use darklight_features::pipeline::{CountedDoc, PreparedDoc};
 
     fn record(text: &str, peak_hour: Option<usize>) -> Record {
-        let doc = PreparedDoc::prepare(text, None);
-        let counted = CountedDoc::from_prepared(&doc, 3, 5);
+        let counted = CountedDoc::from_prepared(&PreparedDoc::prepare(text, None), 3, 5);
         let profile = peak_hour.map(|h| {
             let mut counts = [0u32; 24];
             counts[h] = 8;
@@ -171,7 +181,6 @@ mod tests {
             persona: None,
             facts: Vec::new(),
             text: text.to_string(),
-            doc,
             counted,
             profile,
         }
@@ -225,6 +234,39 @@ mod tests {
         assert!(ex.shared_word_grams.is_empty());
         assert_eq!(ex.vocabulary_overlap, 0.0);
         assert!(ex.common_active_hours.is_empty());
+    }
+
+    /// The overlap read from the counted unigrams is exactly the Jaccard
+    /// index of the prepared (lemmatized) word sets, numbers and words
+    /// repeated under different inflections included.
+    #[test]
+    fn vocabulary_overlap_is_the_jaccard_of_prepared_words() {
+        use crate::dataset::DatasetBuilder;
+        use darklight_corpus::model::{Corpus, Post, User};
+        use darklight_text::lemma::Lemmatizer;
+        let texts = [
+            "The wolves were running 42 miles, running fast every night",
+            "A wolf runs 42 miles and sleeps; the wolves ran again",
+        ];
+        let mut corpus = Corpus::new("pair");
+        for (i, text) in texts.into_iter().enumerate() {
+            let mut user = User::new(format!("u{i}"), None);
+            user.posts.push(Post::new(text, 0));
+            corpus.users.push(user);
+        }
+        let ds = DatasetBuilder::new().build(&corpus);
+        let lemmatizer = Lemmatizer::new();
+        let words = |text: &str| -> HashSet<String> {
+            let doc = PreparedDoc::prepare(text, Some(&lemmatizer));
+            doc.words().iter().cloned().collect()
+        };
+        let (a, b) = (words(texts[0]), words(texts[1]));
+        for shared in ["wolf", "run", "42", "mile"] {
+            assert!(a.contains(shared) && b.contains(shared), "{shared}");
+        }
+        let expected = a.intersection(&b).count() as f64 / a.union(&b).count() as f64;
+        let ex = explain_pair(&ds.records[0], &ds.records[1]);
+        assert_eq!(ex.vocabulary_overlap, expected);
     }
 
     #[test]

@@ -30,14 +30,13 @@ pub struct AliasMatch {
 /// End-to-end linker configuration.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct LinkerConfig {
-    /// Polishing steps (paper defaults).
+    /// Polishing steps (paper defaults; [`PolishConfig::disabled`] for
+    /// pre-polished corpora).
     pub polish: PolishConfig,
     /// Refinement thresholds (paper: 30 timestamps, 1,500 words).
     pub refine: RefineConfig,
     /// The attribution engine settings.
     pub two_stage: TwoStageConfig,
-    /// Skip polishing (for pre-polished corpora).
-    pub already_polished: bool,
     /// Run the RAM-bounded batched driver (§IV-J) instead of the
     /// unbatched pipeline. `None` links unbatched — unless
     /// `two_stage.govern.budget` is set, in which case the batch size is
@@ -113,11 +112,7 @@ impl Linker {
     /// Polishes + refines one corpus into an attribution dataset.
     pub fn prepare(&self, corpus: &Corpus) -> Dataset {
         let _prepare = self.metrics.timer("linker.prepare").start();
-        let polished = if self.config.already_polished {
-            corpus.clone()
-        } else {
-            self.polisher.polish(corpus).0
-        };
+        let polished = self.polisher.polish(corpus).0;
         let profiles = ProfileBuilder::new(ProfilePolicy::default());
         let refined = refine(&polished, self.config.refine, &profiles);
         self.builder.build(&refined)

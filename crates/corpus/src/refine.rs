@@ -350,6 +350,16 @@ mod tests {
     }
 
     #[test]
+    fn word_budget_respected() {
+        let u = rich_user("writer", 40, 20);
+        let words = word_count(&select_text(&u, 50));
+        // Longest-first selection stops once the budget is crossed; the
+        // last message may overshoot by one message's worth.
+        assert!(words >= 50);
+        assert!(words < 50 + 20);
+    }
+
+    #[test]
     fn select_text_budget_zero() {
         let mut u = User::new("none", None);
         u.posts.push(Post::new("anything", 1));

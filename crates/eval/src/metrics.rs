@@ -144,14 +144,16 @@ mod tests {
     use darklight_features::pipeline::{CountedDoc, PreparedDoc};
 
     fn record(alias: &str, persona: Option<u64>) -> Record {
-        let doc = PreparedDoc::prepare("sample text for the record body", None);
-        let counted = CountedDoc::from_prepared(&doc, 3, 5);
+        let counted = CountedDoc::from_prepared(
+            &PreparedDoc::prepare("sample text for the record body", None),
+            3,
+            5,
+        );
         Record {
             alias: alias.to_string(),
             persona,
             facts: Vec::new(),
             text: String::new(),
-            doc,
             counted,
             profile: None,
         }
@@ -283,14 +285,12 @@ mod all_pairs_tests {
     use darklight_features::pipeline::{CountedDoc, PreparedDoc};
 
     fn record(persona: Option<u64>) -> Record {
-        let doc = PreparedDoc::prepare("t", None);
-        let counted = CountedDoc::from_prepared(&doc, 3, 5);
+        let counted = CountedDoc::from_prepared(&PreparedDoc::prepare("t", None), 3, 5);
         Record {
             alias: "a".into(),
             persona,
             facts: Vec::new(),
             text: String::new(),
-            doc,
             counted,
             profile: None,
         }

@@ -107,14 +107,12 @@ mod tests {
     use darklight_features::pipeline::{CountedDoc, PreparedDoc};
 
     fn record(persona: Option<u64>) -> Record {
-        let doc = PreparedDoc::prepare("text", None);
-        let counted = CountedDoc::from_prepared(&doc, 3, 5);
+        let counted = CountedDoc::from_prepared(&PreparedDoc::prepare("text", None), 3, 5);
         Record {
             alias: format!("u{persona:?}"),
             persona,
             facts: Vec::new(),
             text: String::new(),
-            doc,
             counted,
             profile: None,
         }

@@ -53,7 +53,6 @@
 use darklight_govern::{Deadline, Expired};
 use darklight_obs::PipelineMetrics;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Environment variable overriding auto-detected parallelism (`threads ==
 /// 0`). Ignored when a caller asks for an explicit thread count.
@@ -177,6 +176,7 @@ where
 /// `deadline` before each item, and observing expiry abandons the whole
 /// map — partial results are discarded and `Err(Expired)` returned, so a
 /// cancelled map never leaks half-computed state into the caller.
+/// Expiry is sticky, so once a worker has seen it no later item runs.
 ///
 /// Discard-wholesale is what keeps degraded runs thread-count-invariant:
 /// *which* items finished before expiry depends on scheduling, but since
@@ -207,45 +207,12 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let threads = threads.max(1).min(items.len().max(1));
-    if threads == 1 {
-        let mut out = Vec::with_capacity(items.len());
-        for (i, item) in items.iter().enumerate() {
-            if deadline.is_expired() {
-                return Err(Expired);
-            }
-            out.push(f(i, item));
-        }
-        return Ok(out);
-    }
-    let chunk = items.len().div_ceil(threads);
-    let mut results: Vec<Option<R>> = Vec::with_capacity(items.len());
-    results.resize_with(items.len(), || None);
-    let f = &f;
-    let aborted = &AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        let mut start = 0usize;
-        for (slot, shard) in results.chunks_mut(chunk).zip(items.chunks(chunk)) {
-            let begin = start;
-            start += slot.len();
-            scope.spawn(move || {
-                for (off, (out, item)) in slot.iter_mut().zip(shard).enumerate() {
-                    if deadline.is_expired() {
-                        aborted.store(true, Ordering::Relaxed);
-                        return;
-                    }
-                    *out = Some(f(begin + off, item));
-                }
-            });
-        }
-    });
-    if aborted.load(Ordering::Relaxed) {
-        return Err(Expired);
-    }
-    Ok(results
-        .into_iter()
-        .map(|r| r.expect("every slot filled by exactly one worker"))
-        .collect())
+    par_map(items, threads, |i, item| {
+        (!deadline.is_expired()).then(|| f(i, item))
+    })
+    .into_iter()
+    .collect::<Option<Vec<R>>>()
+    .ok_or(Expired)
 }
 
 /// A panic caught inside a worker closure, reported as the `Err` slot of

@@ -4,14 +4,14 @@
 //! darklight gen <out-dir> [--scale small|default|paper] [--seed N]
 //!     Generate a synthetic three-forum world as TSV corpora.
 //!
-//! darklight polish <in.tsv> <out.tsv> [--lenient|--strict]
+//! darklight polish <in.tsv> <out.tsv> [--lenient]
 //!     Run the 12 polishing steps; print the per-step removal report.
 //!
-//! darklight stats <in.tsv> [--lenient|--strict]
+//! darklight stats <in.tsv> [--lenient]
 //!     Corpus statistics: users, posts, words-per-user CDF.
 //!
 //! darklight fit <known.tsv> --out <artifact-dir> [--threads N]
-//!              [--metrics out.json] [--lenient|--strict]
+//!              [--metrics out.json] [--lenient]
 //!     Polish, refine, and fit the known corpus once, then persist the
 //!     fitted pipeline state (vocabulary + IDF weights, per-author
 //!     sparse vectors, activity profiles, feature config, run
@@ -20,12 +20,12 @@
 //!     CURRENT pointer; earlier epochs are kept for recovery.
 //!
 //! darklight link <known.tsv> <unknown.tsv> [--threshold T] [--k K]
-//!               [--threads N] [--metrics out.json] [--lenient|--strict]
+//!               [--threads N] [--metrics out.json] [--lenient]
 //!               [--batch-size B] [--mem-budget SIZE] [--deadline DUR]
 //!               [--checkpoint state.ckpt]
 //! darklight link --artifact <artifact-dir> <unknown.tsv> [--threshold T]
 //!               [--k K] [--threads N] [--metrics out.json]
-//!               [--lenient|--strict]
+//!               [--lenient]
 //!     Polish, refine, and link the two corpora; print matched alias
 //!     pairs as TSV (unknown_alias, known_alias, score). With
 //!     --artifact, the known side is loaded from a `darklight fit`
@@ -160,17 +160,17 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "polish",
         run: cmd_polish,
-        flags: &["--lenient", "--strict"],
+        flags: &["--lenient"],
     },
     Command {
         name: "stats",
         run: cmd_stats,
-        flags: &["--lenient", "--strict"],
+        flags: &["--lenient"],
     },
     Command {
         name: "fit",
         run: cmd_fit,
-        flags: &["--out", "--threads", "--metrics", "--lenient", "--strict"],
+        flags: &["--out", "--threads", "--metrics", "--lenient"],
     },
     Command {
         name: "link",
@@ -182,7 +182,6 @@ const COMMANDS: &[Command] = &[
             "--threads",
             "--metrics",
             "--lenient",
-            "--strict",
             "--batch-size",
             "--mem-budget",
             "--deadline",
@@ -341,14 +340,14 @@ fn main() -> ExitCode {
 const USAGE: &str = "\
 usage: darklight <gen|polish|stats|fit|link|profile|obfuscate|bench-matrix> ...
   gen <out-dir> [--scale small|default|paper] [--seed N]
-  polish <in.tsv> <out.tsv> [--lenient|--strict]
-  stats <in.tsv> [--lenient|--strict]
-  fit <known.tsv> --out <artifact-dir> [--threads N] [--metrics out.json] [--lenient|--strict]
+  polish <in.tsv> <out.tsv> [--lenient]
+  stats <in.tsv> [--lenient]
+  fit <known.tsv> --out <artifact-dir> [--threads N] [--metrics out.json] [--lenient]
   link <known.tsv> <unknown.tsv> [--threshold T] [--k K] [--threads N] [--metrics out.json]
-       [--lenient|--strict] [--batch-size B] [--mem-budget SIZE] [--deadline DUR]
+       [--lenient] [--batch-size B] [--mem-budget SIZE] [--deadline DUR]
        [--checkpoint state.ckpt]
   link --artifact <artifact-dir> <unknown.tsv> [--threshold T] [--k K] [--threads N]
-       [--metrics out.json] [--lenient|--strict]
+       [--metrics out.json] [--lenient]
   profile <corpus.tsv> <alias>
   obfuscate <in.tsv> <out.tsv>
   bench-matrix [--out DIR] [--check [DIR]] [--scenarios a,b] [--scales t,s,m,l] [--seed N]
@@ -358,16 +357,7 @@ exit codes: 0 success, 1 data/io error (or failed bench-matrix --check), 2 usage
 
 /// Flags that take no value; every other flag but `--check` consumes
 /// the next token.
-const SWITCHES: &[&str] = &["--lenient", "--strict", "--include-large"];
-
-/// Resolves `--lenient`/`--strict` (strict wins by default; both at once
-/// is a contradiction the user must resolve).
-fn lenient_mode(args: &Args) -> Result<bool, CliError> {
-    match (args.has("--lenient"), args.has("--strict")) {
-        (true, true) => Err(usage("--lenient and --strict are mutually exclusive")),
-        (lenient, _) => Ok(lenient),
-    }
-}
+const SWITCHES: &[&str] = &["--lenient", "--include-large"];
 
 /// Loads a corpus in the selected ingestion mode, retrying transient
 /// I/O failures with deterministic backoff (jitter seeded by the path,
@@ -505,7 +495,7 @@ fn cmd_gen(args: &Args) -> Result<(), CliError> {
 
 fn cmd_polish(args: &Args) -> Result<(), CliError> {
     let [input, output] = args.operands()?;
-    let lenient = lenient_mode(args)?;
+    let lenient = args.has("--lenient");
     let corpus = load_corpus_cli(input, lenient, &PipelineMetrics::disabled())?;
     let (polished, report) = Polisher::new(PolishConfig::default()).polish(&corpus);
     save_corpus(&polished, Path::new(output)).map_err(data)?;
@@ -528,7 +518,7 @@ fn cmd_polish(args: &Args) -> Result<(), CliError> {
 
 fn cmd_stats(args: &Args) -> Result<(), CliError> {
     let [input] = args.operands()?;
-    let lenient = lenient_mode(args)?;
+    let lenient = args.has("--lenient");
     let corpus = load_corpus_cli(input, lenient, &PipelineMetrics::disabled())?;
     outln!("corpus:  {}", corpus.name);
     outln!("users:   {}", corpus.len());
@@ -546,7 +536,7 @@ fn cmd_fit(args: &Args) -> Result<(), CliError> {
     let out_dir = args
         .value("--out")
         .ok_or_else(|| usage(format!("fit requires --out <artifact-dir>\n{USAGE}")))?;
-    let lenient = lenient_mode(args)?;
+    let lenient = args.has("--lenient");
     let (metrics_path, metrics) = metrics_flag(args);
     let config = linker_config(args)?;
     let known = load_corpus_cli(known_path, lenient, &metrics)?;
@@ -579,7 +569,7 @@ fn cmd_link_artifact(args: &Args, artifact_dir: &str) -> Result<(), CliError> {
         }
     }
     let [unknown_path] = args.operands()?;
-    let lenient = lenient_mode(args)?;
+    let lenient = args.has("--lenient");
     let (metrics_path, metrics) = metrics_flag(args);
     let config = linker_config(args)?;
     let threads = config.two_stage.effective_threads();
@@ -605,7 +595,7 @@ fn cmd_link(args: &Args) -> Result<(), CliError> {
         return cmd_link_artifact(args, dir);
     }
     let [known_path, unknown_path] = args.operands()?;
-    let lenient = lenient_mode(args)?;
+    let lenient = args.has("--lenient");
     let (metrics_path, metrics) = metrics_flag(args);
     let mut config = linker_config(args)?;
     if let Some(b) = args.value("--batch-size") {

@@ -55,13 +55,13 @@ fn usage_errors_exit_2() {
     // Missing positional argument.
     let out = bin().arg("stats").output().unwrap();
     assert_eq!(out.status.code(), Some(2));
-    // Contradictory ingestion flags.
+    // Strict ingestion is the default, not a flag.
     let out = bin()
-        .args(["stats", "whatever.tsv", "--lenient", "--strict"])
+        .args(["stats", "whatever.tsv", "--strict"])
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("mutually exclusive"));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--strict"));
     // Unparseable flag value.
     let out = bin()
         .args(["link", "a.tsv", "b.tsv", "--k", "banana"])

@@ -38,7 +38,7 @@ fn session_queries_agree_with_batch_runs() {
             threshold: f64::NEG_INFINITY,
             ..config()
         },
-        already_polished: true,
+        polish: PolishConfig::disabled(),
         ..LinkerConfig::default()
     });
     for (u, user) in w.dm.originals_corpus.users.iter().enumerate().take(8) {
