@@ -4,7 +4,9 @@
 //! parseable with the full throughput and accuracy sections, and a
 //! `speedup` exactly when its link ran on more than one thread.
 
-use darklight_bench::matrix::{deterministic_view, run_cell, CellOptions, BENCH_SCHEMA_VERSION};
+use darklight_bench::matrix::{
+    deterministic_view, run_cell, CellOptions, BENCH_SCHEMA_VERSION, TIMED_RUNS,
+};
 use darklight_obs::Json;
 use darklight_synth::matrix::{CellSpec, MatrixScale, ScenarioKind};
 use std::path::PathBuf;
@@ -73,7 +75,7 @@ fn report_schema_is_pinned() {
             "mem_budget_bytes"
         ]
     );
-    // One timed link at one thread: no speedup to report.
+    // Links timed at one thread only: no speedup to report.
     assert_eq!(
         section(&report, "throughput").keys(),
         [
@@ -81,8 +83,13 @@ fn report_schema_is_pinned() {
             "link_s",
             "messages_per_sec",
             "threads",
+            "timed_runs",
             "world_prep_s"
         ]
+    );
+    assert_eq!(
+        section(&report, "throughput").get("timed_runs"),
+        Some(&Json::UInt(TIMED_RUNS as u64))
     );
     assert_eq!(
         section(&report, "throughput").get("threads"),
@@ -107,6 +114,7 @@ fn multi_thread_report_adds_the_one_thread_run_and_speedup() {
             "messages_per_sec",
             "speedup",
             "threads",
+            "timed_runs",
             "world_prep_s"
         ]
     );
@@ -162,6 +170,12 @@ fn committed_baseline_trajectory_is_complete_and_well_formed() {
                     path.display()
                 );
             }
+            assert_eq!(
+                throughput.get("timed_runs"),
+                Some(&Json::UInt(TIMED_RUNS as u64)),
+                "{}: throughput.timed_runs",
+                path.display()
+            );
             // A speedup is reported exactly when more than one thread ran.
             let Some(Json::UInt(threads)) = throughput.get("threads") else {
                 panic!("{}: throughput.threads", path.display());
