@@ -36,7 +36,6 @@ pub const METRIC_REGISTRY: &[&str] = &[
     "features.char_vocab",
     "features.dim",
     "features.fit",
-    "features.fit_threads",
     "features.fits",
     "features.vector_nnz",
     "features.vectorize",
@@ -85,6 +84,8 @@ pub const METRIC_REGISTRY: &[&str] = &[
     "twostage.rescored_unknowns",
     "twostage.stage1",
     "twostage.stage2",
+    "twostage.stage2_fits",
+    "twostage.stage2_vectors",
     "twostage.threads",
     "twostage.threshold_micros",
     "twostage.total",

@@ -50,7 +50,9 @@ fn bench_counting(c: &mut Criterion) {
 /// one known lexicon of 105 users: a stage-1 refit on one batch of 26
 /// and a stage-2 refit on 10 candidates plus an unknown rebased into an
 /// extension of that lexicon. Each refit also vectorizes its own
-/// documents, as the driver does.
+/// documents, as `core::batch` does: term-major from the fit's grouping
+/// (`fit_vectorize`), and for comparison the `_per_document` pair of a
+/// fit followed by one `vectorize_counted` per document.
 fn bench_refits(c: &mut Criterion) {
     let lemmatizer = Lemmatizer::new();
     let prepared: Vec<PreparedDoc> = sample_texts(106, 1_500)
@@ -62,6 +64,9 @@ fn bench_refits(c: &mut Criterion) {
     let unknown = CountedDoc::from_prepared(&unknown[0], 3, 5);
     let unknown = CountedDoc::rebase_all(&[&unknown], known[0].lexicon()).remove(0);
     let refit = |config: FeatureConfig, docs: &[&CountedDoc]| {
+        FeatureExtractor::new(config).fit_vectorize(docs.iter().map(|&d| (d, None)))
+    };
+    let per_document = |config: FeatureConfig, docs: &[&CountedDoc]| {
         let space = FeatureExtractor::new(config).fit_counted(docs.iter().copied());
         let vectors: Vec<_> = docs
             .iter()
@@ -70,16 +75,27 @@ fn bench_refits(c: &mut Criterion) {
         (space, vectors)
     };
     let batch: Vec<&CountedDoc> = known[..26].iter().collect();
-    c.bench_function("stage1_refit_26_users", |b| {
-        b.iter(|| black_box(refit(FeatureConfig::space_reduction(), &batch)))
-    });
     let candidates: Vec<&CountedDoc> = known[..10]
         .iter()
         .chain(std::iter::once(&unknown))
         .collect();
-    c.bench_function("stage2_refit_11_users", |b| {
-        b.iter(|| black_box(refit(FeatureConfig::final_stage(), &candidates)))
-    });
+    for (name, config, docs) in [
+        (
+            "stage1_refit_26_users",
+            FeatureConfig::space_reduction(),
+            &batch,
+        ),
+        (
+            "stage2_refit_11_users",
+            FeatureConfig::final_stage(),
+            &candidates,
+        ),
+    ] {
+        c.bench_function(name, |b| b.iter(|| black_box(refit(config.clone(), docs))));
+        c.bench_function(&format!("{name}_per_document"), |b| {
+            b.iter(|| black_box(per_document(config.clone(), docs)))
+        });
+    }
     let space = FeatureExtractor::new(FeatureConfig::final_stage()).fit_counted(known.iter());
     c.bench_function("vectorize_counted", |b| {
         b.iter_batched(

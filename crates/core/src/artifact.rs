@@ -83,11 +83,8 @@ impl FitArtifact {
     /// before ranking — injected vectorization faults included — so
     /// serving from the artifact reproduces its candidates byte-for-byte.
     pub fn fit(config: &TwoStageConfig, known: Dataset) -> FitArtifact {
-        let (space, known_vecs, index) = TwoStage::new(config.clone()).fit_known(
-            &config.reduction,
-            &DocView::all(&known),
-            config.effective_threads(),
-        );
+        let (space, known_vecs, index) =
+            TwoStage::new(config.clone()).fit_known(&config.reduction, &DocView::all(&known));
         FitArtifact {
             known,
             space,

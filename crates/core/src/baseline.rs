@@ -16,7 +16,7 @@ use darklight_features::lexicon::{Lexicon, TermCounts};
 use darklight_features::ngram::char_ngrams_free_space;
 use darklight_features::pipeline::{FeatureConfig, FeatureExtractor};
 use darklight_features::sparse::SparseVector;
-use darklight_features::vocab::VocabBuilder;
+use darklight_features::vocab::Vocabulary;
 use std::sync::Arc;
 
 /// The Standard baseline: char free-space 4-grams, raw term frequency,
@@ -51,11 +51,11 @@ impl StandardBaseline {
         let known_counts = count(known);
         let unknown_counts = count(unknown);
         let lexicon = Arc::new(lexicon);
-        let mut builder = VocabBuilder::new(Arc::clone(&lexicon));
-        for c in &known_counts {
-            builder.add_doc(TermCounts::new(&lexicon, c));
-        }
-        let vocab = builder.select_top(self.max_features);
+        let known_terms: Vec<TermCounts<'_>> = known_counts
+            .iter()
+            .map(|c| TermCounts::new(&lexicon, c))
+            .collect();
+        let vocab = Vocabulary::select_top(&lexicon, &known_terms, self.max_features);
         let to_vec = |counts: &Vec<(u32, u32)>| {
             let mut pairs = Vec::with_capacity(counts.len());
             vocab.for_each_selected(TermCounts::new(&lexicon, counts), |i, c| {
@@ -121,13 +121,12 @@ impl KoppelBaseline {
     /// normalized vote share (best first).
     pub fn run(&self, known: &Dataset, unknown: &Dataset) -> Vec<Vec<Ranked>> {
         let unknowns = Unknowns::new(unknown, known.lexicon());
-        let space = FeatureExtractor::new(self.features.clone())
-            .fit_counted(known.records.iter().map(|r| &r.counted));
-        let known_vecs: Vec<SparseVector> = known
-            .records
-            .iter()
-            .map(|r| space.vectorize_counted(&r.counted, r.profile.as_ref()))
-            .collect();
+        let (space, known_vecs) = FeatureExtractor::new(self.features.clone()).fit_vectorize(
+            known
+                .records
+                .iter()
+                .map(|r| (&r.counted, r.profile.as_ref())),
+        );
         let unknown_vecs: Vec<SparseVector> = unknowns
             .views()
             .iter()

@@ -201,13 +201,17 @@ impl TwoStage {
     /// Stage 1 only: the k-attribution candidates for every unknown
     /// (§IV-C). Returned per unknown, best first.
     ///
-    /// Vectorization is a *skip-tolerant* stage: a record whose
-    /// vectorization panics degrades to the zero vector (it can never
-    /// rank, and as a query it returns an all-zero candidate scoring)
-    /// instead of killing the run; each caught panic increments
-    /// `par.worker_panics` and `twostage.vectorize_panics`. Panics depend
-    /// only on the record, so degraded output stays thread-count
-    /// deterministic.
+    /// Vectorization is a *skip-tolerant* stage: a query whose
+    /// vectorization panics degrades to the zero vector (it returns an
+    /// all-zero candidate scoring) instead of killing the run. On the
+    /// known side the `twostage.vectorize_known` fault hook fires per
+    /// fitted document after the fit and drops the document it hits: it
+    /// keeps the zero vector and can never rank. Each caught panic
+    /// increments `par.worker_panics` and `twostage.vectorize_panics`.
+    /// Panics depend only on the record, so degraded output stays
+    /// thread-count deterministic. A panic inside the fit, its writes of
+    /// the known vectors included, is fatal, as a panic in a fit always
+    /// was.
     ///
     /// The unknowns' counts are rebased onto `known`'s lexicon first
     /// unless they already are in its lineage.
@@ -229,7 +233,7 @@ impl TwoStage {
     ) -> Vec<Vec<Ranked>> {
         let _stage1 = self.config.metrics.timer("twostage.stage1").start();
         let threads = self.config.observed_threads();
-        let (space, _, index) = self.fit_known(&self.config.reduction, known, threads);
+        let (space, _, index) = self.fit_known(&self.config.reduction, known);
         self.rank(&space, &index, unknown, self.config.k, threads)
     }
 
@@ -267,23 +271,26 @@ impl TwoStage {
 
     /// The stage-1 fit every path shares — a fresh reduction, the
     /// single-stage ablation and a [`FitArtifact`]: fit `fc` on the known
-    /// documents (map-reduce over `threads` workers, identical to a
-    /// serial fit for every count), vectorize them skip-tolerantly (see
-    /// [`reduce`](Self::reduce)) and index the vectors. Returns the
-    /// space, the known vectors in input order and their index.
+    /// documents, which writes their vectors from the fit's own term
+    /// grouping ([`FeatureExtractor::fit_vectorize`]), and index the
+    /// vectors. A document the `twostage.vectorize_known` fault hook hits
+    /// after the fit still took part in it but keeps the zero vector (see
+    /// [`reduce`](Self::reduce)). Returns the space, the known vectors in
+    /// input order and their index.
     pub(crate) fn fit_known(
         &self,
         fc: &FeatureConfig,
         known: &[DocView<'_>],
-        threads: usize,
     ) -> (FeatureSpace, Vec<SparseVector>, CandidateIndex) {
         let metrics = &self.config.metrics;
-        let space = FeatureExtractor::new(fc.clone())
+        let (space, vectors) = FeatureExtractor::new(fc.clone())
             .with_metrics(metrics.clone())
-            .with_threads(threads)
-            .fit_counted(known.iter().map(|d| d.counted));
+            .fit_vectorize(known.iter().map(|d| (d.counted, d.profile)));
+        let hooks = darklight_par::try_par_map(known, 1, metrics, |i, _| {
+            darklight_govern::fault::maybe_panic("twostage.vectorize_known", i)
+        });
         let known_vecs =
-            self.vectorize_tolerant(known, threads, &space, "twostage.vectorize_known");
+            self.zero_panicked(hooks.into_iter().zip(vectors).map(|(h, v)| h.map(|()| v)));
         let index = CandidateIndex::build_with_metrics(&known_vecs, space.dim(), metrics);
         (space, known_vecs, index)
     }
@@ -298,32 +305,33 @@ impl TwoStage {
         depth: usize,
         threads: usize,
     ) -> Vec<Vec<Ranked>> {
-        let queries = self.vectorize_tolerant(unknown, threads, space, "twostage.vectorize_query");
-        index.top_k_batch_observed(&queries, depth, threads, &self.config.metrics)
+        let metrics = &self.config.metrics;
+        let slots = darklight_par::try_par_map(unknown, threads, metrics, |i, d| {
+            darklight_govern::fault::maybe_panic("twostage.vectorize_query", i);
+            space.vectorize_counted(d.counted, d.profile)
+        });
+        index.top_k_batch_observed(&self.zero_panicked(slots), depth, threads, metrics)
     }
 
-    /// Vectorizes `docs` in parallel, degrading panicking documents to
-    /// the zero vector (skip-and-record policy; see [`reduce`](Self::reduce)).
-    fn vectorize_tolerant(
+    /// The skip-and-record policy of vectorization (see
+    /// [`reduce`](Self::reduce)): a slot whose worker panicked becomes
+    /// the zero vector and counts in `twostage.vectorize_panics`.
+    fn zero_panicked<E>(
         &self,
-        docs: &[DocView<'_>],
-        threads: usize,
-        space: &FeatureSpace,
-        site: &str,
+        slots: impl IntoIterator<Item = Result<SparseVector, E>>,
     ) -> Vec<SparseVector> {
-        let metrics = &self.config.metrics;
-        darklight_par::try_par_map(docs, threads, metrics, |i, d| {
-            darklight_govern::fault::maybe_panic(site, i);
-            space.vectorize_counted(d.counted, d.profile)
-        })
-        .into_iter()
-        .map(|slot| {
-            slot.unwrap_or_else(|_| {
-                metrics.counter("twostage.vectorize_panics").incr();
-                SparseVector::new()
+        slots
+            .into_iter()
+            .map(|slot| {
+                slot.unwrap_or_else(|_| {
+                    self.config
+                        .metrics
+                        .counter("twostage.vectorize_panics")
+                        .incr();
+                    SparseVector::new()
+                })
             })
-        })
-        .collect()
+            .collect()
     }
 
     /// Both stages for every unknown alias. The unknown side is rebased
@@ -379,6 +387,16 @@ impl TwoStage {
         metrics
             .counter("twostage.rescored_unknowns")
             .add(unknown.len() as u64);
+        // Each unknown with candidates is one refit of its k candidates
+        // plus itself. The refits record no `features.*` metrics: their
+        // gauges would race between workers.
+        let refits = stage1.iter().filter(|c| !c.is_empty());
+        metrics
+            .counter("twostage.stage2_fits")
+            .add(refits.clone().count() as u64);
+        metrics
+            .counter("twostage.stage2_vectors")
+            .add(refits.map(|c| c.len() as u64 + 1).sum());
         // Each unknown's refit/re-rank is independent; the shared helper
         // guarantees slot `u` of the output is unknown `u`'s result for
         // every thread count.
@@ -421,23 +439,24 @@ impl TwoStage {
         // The refit corpus is the k candidates *plus the unknown document*:
         // §IV-I — "this procedure changes the feature vector of the unknown
         // alias too". Grams unique to the unknown then carry high IDF,
-        // sharpening the discrimination among near candidates.
-        let space = FeatureExtractor::new(self.config.final_stage.clone()).fit_counted(
-            candidates
-                .iter()
-                .map(|c| known[c.index].counted)
-                .chain(std::iter::once(unknown.counted)),
-        );
-        let uvec = space.vectorize_counted(unknown.counted, unknown.profile);
+        // sharpening the discrimination among near candidates. The refit
+        // writes all k + 1 vectors from its own term grouping.
+        let (_, mut vectors) = FeatureExtractor::new(self.config.final_stage.clone())
+            .fit_vectorize(
+                candidates
+                    .iter()
+                    .map(|c| known[c.index])
+                    .chain(std::iter::once(unknown))
+                    .map(|d| (d.counted, d.profile)),
+            );
+        // audit:allow(no-naked-unwrap) -- fit_vectorize returns one vector per document and the unknown is the last of k + 1
+        let uvec = vectors.pop().expect("the unknown's vector");
         let mut stage2: Vec<Ranked> = candidates
             .iter()
-            .map(|c| {
-                let doc = known[c.index];
-                let v = space.vectorize_counted(doc.counted, doc.profile);
-                Ranked {
-                    index: c.index,
-                    score: uvec.dot(&v),
-                }
+            .zip(&vectors)
+            .map(|(c, v)| Ranked {
+                index: c.index,
+                score: uvec.dot(v),
             })
             .collect();
         stage2.sort_by(|a, b| cmp_desc((a.score, a.index), (b.score, b.index)));
@@ -467,8 +486,7 @@ impl TwoStage {
     ) -> Vec<RankedMatch> {
         let threads = self.config.observed_threads();
         let unknown = Unknowns::new(unknown, known.lexicon());
-        let (space, _, index) =
-            self.fit_known(&self.config.final_stage, &DocView::all(known), threads);
+        let (space, _, index) = self.fit_known(&self.config.final_stage, &DocView::all(known));
         self.rank(&space, &index, &unknown.views(), depth, threads)
             .into_iter()
             .enumerate()
@@ -615,6 +633,34 @@ mod tests {
                 assert!(w[0].score >= w[1].score);
             }
         }
+    }
+
+    /// Stage 2 counts its work: one refit per unknown with candidates,
+    /// vectorizing its k candidates and itself; an unknown without
+    /// candidates refits nothing. Only the stage-1 fit records
+    /// `features.*` metrics.
+    #[test]
+    fn stage2_counts_its_refits_and_vectors() {
+        let (known, unknown) = world();
+        let metrics = PipelineMetrics::enabled();
+        let engine = TwoStage::new(config().with_metrics(metrics.clone()));
+        let results = engine.run(&known, &unknown);
+        assert!(results.iter().all(|m| m.stage1.len() == 2));
+        let counts = || {
+            [
+                "twostage.stage2_fits",
+                "twostage.stage2_vectors",
+                "features.fits",
+                "features.vectors",
+            ]
+            .map(|name| metrics.counter(name).get())
+        };
+        // Three known vectors and three queries in stage 1.
+        assert_eq!(counts(), [3, 3 * (2 + 1), 1, 6]);
+        let mut stage1: Vec<Vec<Ranked>> = results.into_iter().map(|m| m.stage1).collect();
+        stage1[1].clear();
+        engine.rescore(&known, &unknown, stage1);
+        assert_eq!(counts(), [3 + 2, 9 + 2 * 3, 1, 6]);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! so the ids never depend on the thread count. Ids still never decide
 //! anything that reaches output: vocabulary selection breaks frequency
 //! ties by the term *string* (see
-//! [`VocabBuilder::select_top`](crate::vocab::VocabBuilder::select_top)),
+//! [`Vocabulary::select_top`](crate::vocab::Vocabulary::select_top)),
 //! so a refit ranks the same terms in the same order whatever ids they
 //! carry.
 //!

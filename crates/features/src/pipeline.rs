@@ -16,6 +16,16 @@
 //! the IDF weights — is expressed by simply fitting a second
 //! `FeatureExtractor` on the candidate subset.
 //!
+//! Refits are the pipeline's inner loop, and every refit vectorizes the
+//! documents it was fitted on. [`FeatureExtractor::fit_vectorize`] does
+//! both in one term-major pass: the fit groups every document's
+//! `(id, count)` pairs by term (see [`vocab`](crate::vocab)), and each
+//! fitted document's vector is written by walking the selected terms in
+//! dense-index order, so no fitted document is looked up term by term or
+//! sorted. [`FeatureSpace::vectorize_counted`] serves the documents
+//! outside a fit (stage-1 queries, served queries). Both write through
+//! one block writer, so a document gets the same bits either way.
+//!
 //! Block weighting: each block is L2-normalized and scaled by a
 //! configurable weight before concatenation, then the whole vector is
 //! normalized. The cosine of two such vectors is the weight-averaged cosine
@@ -28,7 +38,7 @@ use crate::lexicon::{GramTrie, Lexicon, TermCounts};
 use crate::ngram::{count_char_ngrams, count_word_ngrams};
 use crate::sparse::SparseVector;
 use crate::tfidf::TfIdf;
-use crate::vocab::{VocabBuilder, Vocabulary};
+use crate::vocab::{fit_family, Postings, SlotTable, Vocabulary};
 use darklight_activity::profile::{DailyActivityProfile, HOURS};
 use darklight_govern::EstimateBytes;
 use darklight_obs::{Counter, PipelineMetrics, Timer};
@@ -423,10 +433,6 @@ impl EstimateBytes for FeatureSpace {
 pub struct FeatureExtractor {
     config: FeatureConfig,
     metrics: PipelineMetrics,
-    /// Worker threads for fitting (0/1 = serial). Callers pass an already
-    /// resolved count; the two-stage engine's per-unknown refits stay
-    /// serial to avoid nesting pools inside its own worker threads.
-    threads: usize,
 }
 
 impl FeatureExtractor {
@@ -435,7 +441,6 @@ impl FeatureExtractor {
         FeatureExtractor {
             config,
             metrics: PipelineMetrics::disabled(),
-            threads: 1,
         }
     }
 
@@ -443,14 +448,6 @@ impl FeatureExtractor {
     /// fitted afterwards inherit the handle.
     pub fn with_metrics(mut self, metrics: PipelineMetrics) -> FeatureExtractor {
         self.metrics = metrics;
-        self
-    }
-
-    /// Fits on up to `threads` worker threads (map-reduce over document
-    /// shards; the fitted vocabulary is identical to a serial fit for
-    /// every thread count). `0` is treated as 1 (serial).
-    pub fn with_threads(mut self, threads: usize) -> FeatureExtractor {
-        self.threads = threads.max(1);
         self
     }
 
@@ -496,13 +493,9 @@ impl FeatureExtractor {
     {
         let _fit = self.metrics.timer("features.fit").start();
         let docs: Vec<&PreparedDoc> = docs.into_iter().collect();
-        let counted = CountedDoc::count_all(
-            &docs,
-            self.config.max_word_n,
-            self.config.max_char_n,
-            self.threads,
-        );
-        self.fit_docs(&counted.iter().collect::<Vec<_>>())
+        let counted =
+            CountedDoc::count_all(&docs, self.config.max_word_n, self.config.max_char_n, 1);
+        self.fit_docs(&counted.iter().collect::<Vec<_>>()).0
     }
 
     /// Fits from precomputed [`CountedDoc`]s. The counts must have been
@@ -520,53 +513,100 @@ impl FeatureExtractor {
     {
         let _fit = self.metrics.timer("features.fit").start();
         let docs: Vec<&CountedDoc> = docs.into_iter().collect();
-        if CountedDoc::shared_lexicon(docs.iter().copied()).is_some() || docs.is_empty() {
-            return self.fit_docs(&docs);
+        match rebased_if_unrelated(&docs) {
+            Some(rebased) => self.fit_docs(&rebased.iter().collect::<Vec<_>>()).0,
+            None => self.fit_docs(&docs).0,
         }
-        let rebased = CountedDoc::rebase_all(&docs, docs[0].lexicon());
-        self.fit_docs(&rebased.iter().collect::<Vec<_>>())
     }
 
-    /// The map-reduce core of both fit paths, over documents sharing one
-    /// lexicon lineage: each worker accumulates a private pair of
-    /// [`VocabBuilder`]s over its contiguous document shard, and the
-    /// shards are merged serially in shard order. Term totals, document
-    /// frequencies, and document counts all sum, and top-N selection
-    /// ranks by (total, term) alone, so the fitted vocabularies are
-    /// identical to a serial pass for every thread count.
-    fn fit_docs(&self, docs: &[&CountedDoc]) -> FeatureSpace {
+    /// Fits like [`fit_counted`](Self::fit_counted) and vectorizes every
+    /// fitted document, each with its activity profile, into the fitted
+    /// space: the vectors come out in input order, bit for bit what
+    /// [`FeatureSpace::vectorize_counted`] gives each document.
+    ///
+    /// The fit groups every document's pairs by term, so the vectors are
+    /// written term-major: walking the selected terms in dense-index
+    /// order, each term's postings append its entry to the vectors of
+    /// the documents holding it, so each vector's blocks fill in index
+    /// order with no per-document lookup or sort. Grouping and selection
+    /// run under the `features.fit` timer, the writes under
+    /// `features.vectorize`.
+    pub fn fit_vectorize<'a, I>(&self, docs: I) -> (FeatureSpace, Vec<SparseVector>)
+    where
+        I: IntoIterator<Item = (&'a CountedDoc, Option<&'a DailyActivityProfile>)>,
+    {
+        let fit = self.metrics.timer("features.fit").start();
+        let (counted, activity): (Vec<&CountedDoc>, Vec<Option<&DailyActivityProfile>>) =
+            docs.into_iter().unzip();
+        let rebased = rebased_if_unrelated(&counted);
+        let counted = match &rebased {
+            Some(rebased) => rebased.iter().collect(),
+            None => counted,
+        };
+        let (space, postings) = self.fit_docs(&counted);
+        drop(fit);
+        let vectors = space.write_fitted(&postings, &counted, &activity);
+        (space, vectors)
+    }
+
+    /// The core of every fit path, over documents sharing one lexicon
+    /// lineage: each family's pairs are grouped by term through one
+    /// dense id table the two families share, its top N terms selected
+    /// from the slot totals, and the selected terms' postings laid out
+    /// for [`FeatureSpace::write_fitted`].
+    fn fit_docs(&self, docs: &[&CountedDoc]) -> (FeatureSpace, [Postings; 2]) {
         let lexicon = CountedDoc::shared_lexicon(docs.iter().copied())
             .cloned()
             .unwrap_or_default();
-        let threads = self.threads.max(1).min(docs.len().max(1));
-        self.metrics
-            .gauge("features.fit_threads")
-            .set(threads as i64);
-        let builders = || {
-            (
-                VocabBuilder::new(Arc::clone(&lexicon)),
-                VocabBuilder::new(Arc::clone(&lexicon)),
-            )
-        };
-        let mut shards = darklight_par::par_map_chunks(docs, threads, |shard| {
-            let (mut wb, mut cb) = builders();
-            for doc in shard {
-                wb.add_doc(doc.word_counts());
-                cb.add_doc(doc.char_counts());
-            }
-            (wb, cb)
-        })
-        .into_iter();
-        // The first shard's builders hold the running totals; merging
-        // them into empty ones would only copy them.
-        let (mut word_builder, mut char_builder) = shards.next().unwrap_or_else(builders);
-        for (wb, cb) in shards {
-            word_builder.merge(wb);
-            char_builder.merge(cb);
-        }
-        let word_vocab = word_builder.select_top(self.config.top_word_ngrams);
-        let char_vocab = char_builder.select_top(self.config.top_char_ngrams);
-        self.finish_space(word_vocab, char_vocab)
+        let mut table = SlotTable::new(&lexicon);
+        let (word_vocab, words) = fit_family(
+            &lexicon,
+            &mut table,
+            &docs.iter().map(|d| d.word_counts()).collect::<Vec<_>>(),
+            self.config.top_word_ngrams,
+        );
+        let (char_vocab, chars) = fit_family(
+            &lexicon,
+            &mut table,
+            &docs.iter().map(|d| d.char_counts()).collect::<Vec<_>>(),
+            self.config.top_char_ngrams,
+        );
+        (self.finish_space(word_vocab, char_vocab), [words, chars])
+    }
+}
+
+/// `docs` rebased into one fit-local extension of the first one's
+/// lexicon when they come from unrelated lexicons; `None` when they
+/// already share a lineage (or there are none).
+fn rebased_if_unrelated(docs: &[&CountedDoc]) -> Option<Vec<CountedDoc>> {
+    let first = docs.first()?;
+    CountedDoc::shared_lexicon(docs.iter().copied())
+        .is_none()
+        .then(|| CountedDoc::rebase_all(docs, first.lexicon()))
+}
+
+/// Where one n-gram block of a space goes and how it is weighted: the
+/// block writer [`FeatureSpace::vectorize_counted`] and a fit's
+/// term-major writes share, so both run the same floating-point
+/// operations in the same order.
+struct NgramBlock<'s> {
+    offset: u32,
+    tfidf: &'s TfIdf,
+    weight: f32,
+}
+
+impl NgramBlock<'_> {
+    /// Appends the term at dense index `i`, counted `tf` times; a block's
+    /// terms come in index order.
+    fn push(&self, v: &mut SparseVector, i: u32, tf: u32) {
+        v.push(self.offset + i, tf as f32 * self.tfidf.idf(i));
+    }
+
+    /// Closes the block that began at entry `start`: L2-normalizes it,
+    /// then scales it by the block weight.
+    fn end(&self, v: &mut SparseVector, start: usize) {
+        v.normalize_from(start);
+        v.scale_from(start, self.weight);
     }
 }
 
@@ -661,6 +701,8 @@ impl FeatureSpace {
     }
 
     /// Vectorizes a precounted document; see [`FeatureSpace::vectorize`].
+    /// Documents a space was fitted on are vectorized by the fit itself
+    /// ([`FeatureExtractor::fit_vectorize`]); this path serves the rest.
     ///
     /// Each block is written once into the output, in index order, then
     /// L2-normalized and weighted in place; the whole vector is
@@ -671,29 +713,82 @@ impl FeatureSpace {
         activity: Option<&DailyActivityProfile>,
     ) -> SparseVector {
         let _vec = self.instruments.vectorize.start();
-        let config = &self.config;
         let words = selected_in_order(&self.word_vocab, doc.word_counts());
         let chars = selected_in_order(&self.char_vocab, doc.char_counts());
         let mut v = SparseVector::with_capacity(words.len() + chars.len() + NUM_SLOTS + HOURS);
-        let blocks = [
-            (&words, &self.word_tfidf, 0, config.word_weight),
-            (
-                &chars,
-                &self.char_tfidf,
-                self.char_offset(),
-                config.char_weight,
-            ),
-        ];
-        for (keys, tfidf, offset, weight) in blocks {
+        for (block, keys) in self.ngram_blocks().iter().zip([words, chars]) {
             let start = v.nnz();
-            for &key in keys.iter() {
-                let (i, tf) = ((key >> 32) as u32, key as u32);
-                v.push(offset + i, tf as f32 * tfidf.idf(i));
+            for key in keys {
+                block.push(&mut v, (key >> 32) as u32, key as u32);
             }
-            v.normalize_from(start);
-            v.scale_from(start, weight);
+            block.end(&mut v, start);
         }
+        self.finish_vector(v, doc, activity)
+    }
 
+    /// The word and char n-gram blocks, in vector order.
+    fn ngram_blocks(&self) -> [NgramBlock<'_>; 2] {
+        [
+            NgramBlock {
+                offset: 0,
+                tfidf: &self.word_tfidf,
+                weight: self.config.word_weight,
+            },
+            NgramBlock {
+                offset: self.char_offset(),
+                tfidf: &self.char_tfidf,
+                weight: self.config.char_weight,
+            },
+        ]
+    }
+
+    /// Writes the vectors of the documents this space was just fitted
+    /// on, from the postings of the fit's two families: each vector gets
+    /// the capacity [`vectorize_counted`](Self::vectorize_counted) would
+    /// give it, and each block is filled by walking the selected terms in
+    /// dense-index order and appending every posting to its document's
+    /// vector.
+    fn write_fitted(
+        &self,
+        families: &[Postings; 2],
+        docs: &[&CountedDoc],
+        activity: &[Option<&DailyActivityProfile>],
+    ) -> Vec<SparseVector> {
+        let _vec = self.instruments.vectorize.start();
+        let [words, chars] = families;
+        let mut vectors: Vec<SparseVector> = words
+            .per_doc()
+            .iter()
+            .zip(chars.per_doc())
+            .map(|(w, c)| SparseVector::with_capacity(w + c + NUM_SLOTS + HOURS))
+            .collect();
+        for (block, postings) in self.ngram_blocks().iter().zip(families) {
+            let starts: Vec<usize> = vectors.iter().map(SparseVector::nnz).collect();
+            for (i, term) in postings.by_term().enumerate() {
+                for &(d, tf) in term {
+                    block.push(&mut vectors[d as usize], i as u32, tf);
+                }
+            }
+            for (v, start) in vectors.iter_mut().zip(starts) {
+                block.end(v, start);
+            }
+        }
+        vectors
+            .into_iter()
+            .zip(docs.iter().zip(activity))
+            .map(|(v, (doc, &activity))| self.finish_vector(v, doc, activity))
+            .collect()
+    }
+
+    /// Appends the char-class and activity blocks after a vector's
+    /// n-gram blocks, normalizes the whole vector and counts it.
+    fn finish_vector(
+        &self,
+        mut v: SparseVector,
+        doc: &CountedDoc,
+        activity: Option<&DailyActivityProfile>,
+    ) -> SparseVector {
+        let config = &self.config;
         if config.char_class_weight > 0.0 {
             let start = v.nnz();
             for (i, &f) in doc.char_class.iter().enumerate() {
@@ -739,6 +834,7 @@ fn selected_in_order(vocab: &Vocabulary, counts: TermCounts<'_>) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vocab::tests::VocabBuilder;
     use darklight_activity::profile::DailyActivityProfile;
 
     fn prep(text: &str) -> PreparedDoc {
@@ -884,38 +980,6 @@ mod tests {
         assert_eq!(metrics.timer("features.vectorize").count(), 1);
     }
 
-    #[test]
-    fn threaded_fit_matches_serial_exactly() {
-        let texts = [
-            "alpha beta gamma delta epsilon zeta eta theta",
-            "alpha beta something else entirely different here",
-            "unrelated words that share nothing at all today",
-            "beta gamma delta words appearing again and again",
-            "a fifth document so shards stay ragged on two threads",
-        ];
-        let docs: Vec<PreparedDoc> = texts.iter().map(|t| prep(t)).collect();
-        let counted = CountedDoc::count_all(&docs.iter().collect::<Vec<_>>(), 3, 5, 1);
-        let cfg = FeatureConfig::space_reduction();
-        let serial = FeatureExtractor::new(cfg.clone()).fit_counted(&counted);
-        for threads in [2, 3, 7] {
-            let par = FeatureExtractor::new(cfg.clone())
-                .with_threads(threads)
-                .fit_counted(&counted);
-            assert_eq!(par.dim(), serial.dim(), "threads = {threads}");
-            // Identical vocabularies ⇒ identical vectors for any doc.
-            for (d, c) in docs.iter().zip(&counted) {
-                let a = serial.vectorize_counted(c, None);
-                let b = par.vectorize_counted(c, None);
-                assert!((a.cosine(&b) - 1.0).abs() < 1e-9, "doc {:?}", d.words());
-            }
-            // And the prepared-doc fit path agrees too.
-            let par_fit = FeatureExtractor::new(cfg.clone())
-                .with_threads(threads)
-                .fit(&docs);
-            assert_eq!(par_fit.dim(), serial.dim());
-        }
-    }
-
     /// Sharded counting hands out the serial pass's ids: same lexicon,
     /// term for term, and the same pairs, at every thread count.
     #[test]
@@ -957,6 +1021,69 @@ mod tests {
             assert_eq!(ia, ib);
             assert_eq!(va.to_bits(), vb.to_bits(), "index {ia}");
         }
+    }
+
+    /// A vocabulary's terms in dense-index order with their document
+    /// frequencies, and its document count.
+    fn vocab_entries(v: &Vocabulary) -> (Vec<(String, u32)>, u32) {
+        let terms = v
+            .iter()
+            .map(|(t, i)| (t.to_string(), v.doc_freq(i)))
+            .collect();
+        (terms, v.num_docs())
+    }
+
+    /// The pins of the term-major path, for one fit of `cfg` over `docs`,
+    /// each vectorized with `activity`: `fit_vectorize` gives every
+    /// fitted document the bits `vectorize_counted` and the reference
+    /// give it in the space it fits; that space selects what
+    /// `fit_counted` does; and both vocabularies hold the terms, order,
+    /// document frequencies and document count of the map-based
+    /// builder's selection. Returns the space.
+    fn assert_term_major_pins(
+        cfg: &FeatureConfig,
+        docs: &[&CountedDoc],
+        activity: Option<&DailyActivityProfile>,
+    ) -> FeatureSpace {
+        let extractor = FeatureExtractor::new(cfg.clone());
+        let (space, vectors) = extractor.fit_vectorize(docs.iter().map(|&d| (d, activity)));
+        assert_eq!(vectors.len(), docs.len());
+        for (doc, v) in docs.iter().zip(&vectors) {
+            assert_same_bits(v, &space.vectorize_counted(doc, activity));
+            assert_same_bits(v, &reference_vectorize(&space, doc, activity));
+        }
+        let counted = extractor.fit_counted(docs.iter().copied());
+        assert_eq!(
+            vocab_entries(counted.word_vocab()),
+            vocab_entries(space.word_vocab())
+        );
+        assert_eq!(
+            vocab_entries(counted.char_vocab()),
+            vocab_entries(space.char_vocab())
+        );
+        let rebased = rebased_if_unrelated(docs);
+        let docs: Vec<&CountedDoc> = match &rebased {
+            Some(rebased) => rebased.iter().collect(),
+            None => docs.to_vec(),
+        };
+        let lexicon = CountedDoc::shared_lexicon(docs.iter().copied())
+            .cloned()
+            .unwrap_or_default();
+        let mut words = VocabBuilder::new(Arc::clone(&lexicon));
+        let mut chars = VocabBuilder::new(lexicon);
+        for doc in &docs {
+            words.add_doc(doc.word_counts());
+            chars.add_doc(doc.char_counts());
+        }
+        assert_eq!(
+            vocab_entries(&words.select_top(cfg.top_word_ngrams)),
+            vocab_entries(space.word_vocab())
+        );
+        assert_eq!(
+            vocab_entries(&chars.select_top(cfg.top_char_ngrams)),
+            vocab_entries(space.char_vocab())
+        );
+        space
     }
 
     /// The stage-2 freeze: known candidates counted in one lexicon, the
@@ -1005,8 +1132,8 @@ mod tests {
         );
         // And the unrebased unknown (an unrelated lexicon), which
         // `fit_counted` rebases itself, gives the same result.
-        let foreign_space =
-            FeatureExtractor::new(cfg).fit_counted(known.iter().chain(std::iter::once(&unknown)));
+        let foreign_space = FeatureExtractor::new(cfg.clone())
+            .fit_counted(known.iter().chain(std::iter::once(&unknown)));
         assert_eq!(
             vocab_terms(foreign_space.word_vocab()),
             vocab_terms(space.word_vocab())
@@ -1021,6 +1148,67 @@ mod tests {
                 &foreign_space.vectorize_counted(b, None),
             );
         }
+        // The term-major path over the extension, over the unrelated
+        // lexicons it rebases itself, and over the joint counts.
+        let hour = profile(4);
+        for docs in [
+            vec![&known[0], &known[1], &rebased[0]],
+            vec![&known[0], &known[1], &unknown],
+            vec![&unknown, &known[1]],
+            joint.iter().collect(),
+        ] {
+            for activity in [None, Some(&hour)] {
+                assert_term_major_pins(&cfg, &docs, activity);
+            }
+        }
+    }
+
+    /// The term-major path over documents counted in three unrelated
+    /// lexicons, some terms shared by strings only, one document empty.
+    #[test]
+    fn fit_vectorize_over_unrelated_lexicons_follows_strings() {
+        let texts = [
+            "the wolf ran past the old mill again",
+            "",
+            "old mill wolves and the river",
+            "the river runs past the mill",
+        ];
+        let docs: Vec<CountedDoc> = texts
+            .iter()
+            .map(|t| CountedDoc::from_prepared(&prep(t), 3, 5))
+            .collect();
+        let refs: Vec<&CountedDoc> = docs.iter().collect();
+        assert!(CountedDoc::shared_lexicon(refs.iter().copied()).is_none());
+        for cfg in [
+            FeatureConfig::final_stage(),
+            FeatureConfig {
+                top_word_ngrams: 4,
+                top_char_ngrams: 9,
+                ..FeatureConfig::space_reduction()
+            },
+        ] {
+            let space = assert_term_major_pins(&cfg, &refs, Some(&profile(20)));
+            let joint = CountedDoc::count_all(
+                &texts
+                    .iter()
+                    .map(|t| prep(t))
+                    .collect::<Vec<_>>()
+                    .iter()
+                    .collect::<Vec<_>>(),
+                3,
+                5,
+                1,
+            );
+            let (_, joint_vectors) =
+                FeatureExtractor::new(cfg).fit_vectorize(joint.iter().map(|d| (d, None)));
+            for (doc, v) in refs.iter().zip(&joint_vectors) {
+                assert_same_bits(v, &space.vectorize_counted(doc, None));
+            }
+        }
+        let (space, vectors) =
+            FeatureExtractor::new(FeatureConfig::final_stage()).fit_vectorize(std::iter::empty());
+        assert!(vectors.is_empty());
+        assert_eq!(space.dim(), NUM_SLOTS + HOURS);
     }
 
     /// `vectorize_counted` as it stood before blocks were written in
@@ -1076,7 +1264,10 @@ mod tests {
     /// In-place vectorization matches the copy-per-block reference bit
     /// for bit: in the fitted space and in a refit on a subset (so some
     /// terms fall outside the vocabulary), for an empty document, with
-    /// and without activity, and with each block weight set to zero.
+    /// and without activity, with each block weight set to zero and with
+    /// top-N cuts inside frequency ties. The term-major path gives every
+    /// fitted document the same bits, including a fit on the empty
+    /// document alone.
     #[test]
     fn vectorize_counted_matches_the_reference_bit_for_bit() {
         let texts = [
@@ -1106,15 +1297,17 @@ mod tests {
             ..base
         });
         for cfg in configs {
-            for fit_on in [&counted[..], &counted[1..3]] {
+            for fit_on in [&counted[..], &counted[1..3], &counted[3..4]] {
                 let space = FeatureExtractor::new(cfg.clone()).fit_counted(fit_on);
-                for doc in &counted {
-                    for hour in [None, Some(profile(9))] {
+                for hour in [None, Some(profile(9))] {
+                    for doc in &counted {
                         assert_same_bits(
                             &space.vectorize_counted(doc, hour.as_ref()),
                             &reference_vectorize(&space, doc, hour.as_ref()),
                         );
                     }
+                    let fitted: Vec<&CountedDoc> = fit_on.iter().collect();
+                    assert_term_major_pins(&cfg, &fitted, hour.as_ref());
                 }
             }
         }

@@ -88,7 +88,7 @@ impl TfIdf {
 mod tests {
     use super::*;
     use crate::lexicon::Lexicon;
-    use crate::vocab::VocabBuilder;
+    use crate::vocab::tests::VocabBuilder;
     use std::sync::Arc;
 
     /// Fits on `docs` and counts `query` in the same lexicon.

@@ -1,113 +1,217 @@
-//! Corpus-frequency counting and top-N vocabulary selection.
+//! Term-major grouping and top-N vocabulary selection.
 //!
 //! The paper orders the n-grams by their frequency across the dataset
-//! and selects the top N features (§IV-A). [`VocabBuilder`] accumulates
-//! per-document term counts and document frequencies by term id;
-//! [`Vocabulary`] is the frozen id → dense-index map used during
-//! vectorization. Ids come from a [`Lexicon`]; selection still ranks by
-//! the term strings, so no id order ever reaches a vocabulary.
+//! and selects the top N features (§IV-A). A fit does this per n-gram
+//! family in three steps over its documents' `(id, count)` pairs:
+//!
+//! 1. *Group.* One pass gives each distinct id a slot through a dense id
+//!    table (one entry per id of the fit's lexicon, allocated once per
+//!    fit and shared by the word and char families) and sums each slot's
+//!    total count and document frequency.
+//! 2. *Select.* The slots are ranked by (total desc, term string asc) and
+//!    the top N frozen into a [`Vocabulary`], the id → dense-index map
+//!    that vectorizes documents outside the fit.
+//! 3. *Lay out.* One counting sort places every pair of a selected term
+//!    under its dense index, documents ascending, so the fit writes its
+//!    own documents' vectors by walking the selected terms in order and
+//!    never looks a fitted document's ids up or sorts them (see
+//!    [`FeatureExtractor::fit_vectorize`](crate::pipeline::FeatureExtractor::fit_vectorize)).
+//!
+//! Ids come from a [`Lexicon`]; selection reads string order through
+//! [`Lexicon::rank_key`], so no id order ever reaches a vocabulary.
+//! [`Vocabulary::select_top`] runs the first two steps for counts that
+//! are not a fit's.
 
 use crate::lexicon::{IdMap, Lexicon, TermCounts};
 use std::sync::Arc;
 
-/// Accumulates term statistics over a corpus, keyed by the ids of one
-/// lexicon.
-#[derive(Debug, Clone, Default)]
-pub struct VocabBuilder {
-    lexicon: Arc<Lexicon>,
-    /// term id → (total occurrences, number of documents containing it).
-    stats: IdMap<(u64, u32)>,
+/// The dense id table a fit hands out slots through: one entry per id
+/// of the fit's lexicon, allocated once per fit and shared by the word
+/// and char families. It is never cleared: every grouping hands out
+/// slot numbers above all earlier ones, so an entry written by an
+/// earlier family reads as unassigned.
+pub(crate) struct SlotTable {
+    /// Id → `base + slot + 1` of the grouping that last met the id.
+    entries: Vec<u32>,
+    /// Slots handed out by earlier groupings.
+    base: u32,
+}
+
+impl SlotTable {
+    /// A table for the ids of `lexicon` (its parent chain's included).
+    pub(crate) fn new(lexicon: &Lexicon) -> SlotTable {
+        SlotTable {
+            entries: vec![0; lexicon.len()],
+            base: 0,
+        }
+    }
+}
+
+/// Fits one n-gram family of a fit: groups the pairs of `docs`, whose
+/// ids `lexicon` covers, by term through `table`, freezes the top `n`
+/// terms into a [`Vocabulary`], and lays out the selected terms'
+/// postings in dense-index order.
+///
+/// # Panics
+///
+/// Panics unless `lexicon` covers the lexicon of every document, or if
+/// `table` was made for a shorter lexicon.
+pub(crate) fn fit_family(
+    lexicon: &Arc<Lexicon>,
+    table: &mut SlotTable,
+    docs: &[TermCounts<'_>],
+    n: usize,
+) -> (Vocabulary, Postings) {
+    let groups = TermGroups::group(lexicon, table, docs);
+    let (vocab, selected) = groups.select_top(lexicon, n);
+    let postings = groups.postings(table, docs, &selected);
+    (vocab, postings)
+}
+
+/// One n-gram family of a fit, grouped by term: every distinct id of
+/// the fitted documents holds a slot, in first-seen order (documents in
+/// input order, ids ascending within a document), with its term's
+/// total count and document frequency.
+struct TermGroups {
+    /// Lexicon id of each slot.
+    ids: Vec<u32>,
+    /// Total count of each slot's term over the fitted documents.
+    totals: Vec<u64>,
+    /// Number of fitted documents holding each slot's term.
+    doc_freq: Vec<u32>,
+    /// The table's base when these slots were handed out.
+    base: u32,
     docs: u32,
 }
 
-impl VocabBuilder {
-    /// An empty builder over `lexicon`'s ids.
-    pub fn new(lexicon: Arc<Lexicon>) -> VocabBuilder {
-        VocabBuilder {
-            lexicon,
-            stats: IdMap::default(),
-            docs: 0,
+impl TermGroups {
+    /// One pass over the pairs of `docs`: each id's first occurrence
+    /// takes the next slot of `table`, and every occurrence adds to its
+    /// slot's total and document frequency.
+    fn group(lexicon: &Lexicon, table: &mut SlotTable, docs: &[TermCounts<'_>]) -> TermGroups {
+        let base = table.base;
+        let mut ids = Vec::new();
+        let mut totals: Vec<u64> = Vec::new();
+        let mut doc_freq: Vec<u32> = Vec::new();
+        for counts in docs {
+            assert!(
+                lexicon.covers(counts.lexicon()),
+                "term ids from a lexicon the fit does not cover"
+            );
+            for &(id, c) in counts.pairs() {
+                let entry = &mut table.entries[id as usize];
+                if *entry <= base {
+                    *entry = base + ids.len() as u32 + 1;
+                    ids.push(id);
+                    totals.push(0);
+                    doc_freq.push(0);
+                }
+                let slot = (*entry - base - 1) as usize;
+                totals[slot] += u64::from(c);
+                doc_freq[slot] += 1;
+            }
+        }
+        table.base = u32::try_from(base as usize + ids.len())
+            .unwrap_or_else(|_| panic!("a fit hands out more than u32 slots"));
+        TermGroups {
+            ids,
+            totals,
+            doc_freq,
+            base,
+            docs: docs.len() as u32,
         }
     }
 
-    /// Adds one document, given its term counts.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless this builder's lexicon covers the one the ids come
-    /// from: fit over a lexicon covering every document, as
-    /// [`FeatureExtractor`](crate::pipeline::FeatureExtractor) does.
-    pub fn add_doc(&mut self, counts: TermCounts<'_>) {
-        assert!(
-            self.lexicon.covers(counts.lexicon()),
-            "term ids from a lexicon the builder does not cover"
-        );
-        self.docs += 1;
-        for &(id, c) in counts.pairs() {
-            let entry = self.stats.entry(id).or_insert((0, 0));
-            entry.0 += c as u64;
-            entry.1 += 1;
-        }
-    }
-
-    /// Absorbs another builder's accumulated statistics, as if its
-    /// documents had been added to `self` directly. Both builders must
-    /// count in the same lexicon. Term totals, document frequencies, and
-    /// the document count all sum, so folding any partition of a corpus —
-    /// in any order — yields a builder whose
-    /// [`select_top`](VocabBuilder::select_top) output is identical to a
-    /// single serial pass: selection ranks by (total, term) only, and
-    /// addition is commutative. This is the reduce step of the parallel
-    /// fit in `darklight-features::pipeline`.
-    pub fn merge(&mut self, other: VocabBuilder) {
-        debug_assert!(Arc::ptr_eq(&self.lexicon, &other.lexicon));
-        self.docs += other.docs;
-        for (id, (total, df)) in other.stats {
-            let entry = self.stats.entry(id).or_insert((0, 0));
-            entry.0 += total;
-            entry.1 += df;
-        }
-    }
-
-    /// Number of documents seen.
-    pub fn num_docs(&self) -> u32 {
-        self.docs
-    }
-
-    /// Number of distinct terms seen.
-    pub fn num_terms(&self) -> usize {
-        self.stats.len()
-    }
-
-    /// Freezes the top `n` terms by total corpus frequency (ties broken
-    /// by the term string, never the id, so the result is the same for
-    /// any lexicon the terms were counted in) into a [`Vocabulary`].
-    /// Document frequencies are carried along for IDF weighting.
-    pub fn select_top(&self, n: usize) -> Vocabulary {
-        let lexicon = &self.lexicon;
-        // (sort key, id, df), the key (total desc, term asc): distinct
+    /// Freezes the top `n` terms by total count (ties broken by the term
+    /// string, never the id, so the result is the same for any lexicon
+    /// the terms were counted in) into a [`Vocabulary`] over `lexicon`,
+    /// the lexicon the pairs were grouped under. Also returns the slot of
+    /// each selected term, in dense-index order.
+    fn select_top(&self, lexicon: &Arc<Lexicon>, n: usize) -> (Vocabulary, Vec<u32>) {
+        // (sort key, slot), the key (total desc, term asc): distinct
         // terms have distinct rank keys, so keys are distinct and the
         // unstable sorts below are deterministic.
-        let mut items: Vec<(u128, u32, u32)> = self
-            .stats
+        let mut items: Vec<(u128, u32)> = self
+            .ids
             .iter()
-            .map(|(&id, &(total, df))| {
+            .zip(&self.totals)
+            .enumerate()
+            .map(|(slot, (&id, &total))| {
                 let key = u128::from(u64::MAX - total) << 64 | u128::from(lexicon.rank_key(id));
-                (key, id, df)
+                (key, slot as u32)
             })
             .collect();
         if n < items.len() {
             if n == 0 {
                 items.clear();
             } else {
-                items.select_nth_unstable_by_key(n - 1, |&(key, _, _)| key);
+                items.select_nth_unstable_by_key(n - 1, |&(key, _)| key);
                 items.truncate(n);
             }
         }
-        items.sort_unstable_by_key(|&(key, _, _)| key);
-        let ids: Vec<u32> = items.iter().map(|&(_, id, _)| id).collect();
-        let doc_freq = items.iter().map(|&(_, _, df)| df).collect();
-        Vocabulary::freeze(Arc::clone(lexicon), ids, doc_freq, self.docs)
+        items.sort_unstable_by_key(|&(key, _)| key);
+        let slots: Vec<u32> = items.into_iter().map(|(_, slot)| slot).collect();
+        let ids = slots.iter().map(|&s| self.ids[s as usize]).collect();
+        let doc_freq = slots.iter().map(|&s| self.doc_freq[s as usize]).collect();
+        let vocab = Vocabulary::freeze(Arc::clone(lexicon), ids, doc_freq, self.docs);
+        (vocab, slots)
+    }
+
+    /// The postings of the `selected` slots (in dense-index order): one
+    /// counting sort of the pairs of `docs` by dense index, reading each
+    /// id's slot back from `table`, which no later grouping may have
+    /// reused yet. Pairs of unselected terms are skipped.
+    fn postings(&self, table: &SlotTable, docs: &[TermCounts<'_>], selected: &[u32]) -> Postings {
+        let mut dense = vec![u32::MAX; self.ids.len()];
+        let mut starts = Vec::with_capacity(selected.len() + 1);
+        starts.push(0);
+        for (i, &slot) in selected.iter().enumerate() {
+            dense[slot as usize] = i as u32;
+            starts.push(starts[i] + self.doc_freq[slot as usize] as usize);
+        }
+        let mut cursors = starts[..selected.len()].to_vec();
+        let mut entries = vec![(0, 0); starts[selected.len()]];
+        let mut per_doc = vec![0; docs.len()];
+        for (d, counts) in docs.iter().enumerate() {
+            for &(id, c) in counts.pairs() {
+                let i = dense[(table.entries[id as usize] - self.base - 1) as usize];
+                // An unselected term's index is past every cursor.
+                if let Some(cursor) = cursors.get_mut(i as usize) {
+                    entries[*cursor] = (d as u32, c);
+                    *cursor += 1;
+                    per_doc[d] += 1;
+                }
+            }
+        }
+        Postings {
+            starts,
+            entries,
+            per_doc,
+        }
+    }
+}
+
+/// A family's selected terms grouped by term: for the term at each
+/// dense index, the `(document, count)` pair of every fitted document
+/// holding it, documents ascending.
+pub(crate) struct Postings {
+    /// Term `i`'s pairs are `entries[starts[i]..starts[i + 1]]`.
+    starts: Vec<usize>,
+    entries: Vec<(u32, u32)>,
+    /// Number of selected terms each document holds.
+    per_doc: Vec<usize>,
+}
+
+impl Postings {
+    /// The `(document, count)` pairs of each selected term, in
+    /// dense-index order.
+    pub(crate) fn by_term(&self) -> impl Iterator<Item = &[(u32, u32)]> + '_ {
+        self.starts.windows(2).map(|w| &self.entries[w[0]..w[1]])
+    }
+
+    /// Number of selected terms each fitted document holds.
+    pub(crate) fn per_doc(&self) -> &[usize] {
+        &self.per_doc
     }
 }
 
@@ -142,6 +246,20 @@ impl Vocabulary {
             doc_freq,
             num_docs,
         }
+    }
+
+    /// Selects the top `n` terms of `docs` by total count over them, ties
+    /// broken by the term string, with their document frequencies — the
+    /// selection a fit makes (§IV-A), for counts that are not
+    /// [`CountedDoc`](crate::pipeline::CountedDoc)s.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `lexicon` covers the lexicon of every document.
+    pub fn select_top(lexicon: &Arc<Lexicon>, docs: &[TermCounts<'_>], n: usize) -> Vocabulary {
+        TermGroups::group(lexicon, &mut SlotTable::new(lexicon), docs)
+            .select_top(lexicon, n)
+            .0
     }
 
     /// The dense index of the term with lexicon id `id`, if selected.
@@ -259,8 +377,63 @@ impl darklight_govern::EstimateBytes for Vocabulary {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Accumulates term statistics document by document in an id-keyed
+    /// map: the selection the term grouping replaced, kept as the oracle
+    /// the crate's tests compare fits against.
+    #[derive(Debug, Clone, Default)]
+    pub(crate) struct VocabBuilder {
+        lexicon: Arc<Lexicon>,
+        /// term id → (total occurrences, number of documents containing it).
+        stats: IdMap<(u64, u32)>,
+        docs: u32,
+    }
+
+    impl VocabBuilder {
+        /// An empty builder over `lexicon`'s ids.
+        pub(crate) fn new(lexicon: Arc<Lexicon>) -> VocabBuilder {
+            VocabBuilder {
+                lexicon,
+                stats: IdMap::default(),
+                docs: 0,
+            }
+        }
+
+        /// Adds one document, given its term counts.
+        pub(crate) fn add_doc(&mut self, counts: TermCounts<'_>) {
+            assert!(
+                self.lexicon.covers(counts.lexicon()),
+                "term ids from a lexicon the builder does not cover"
+            );
+            self.docs += 1;
+            for &(id, c) in counts.pairs() {
+                let entry = self.stats.entry(id).or_insert((0, 0));
+                entry.0 += c as u64;
+                entry.1 += 1;
+            }
+        }
+
+        /// The top `n` terms by (total desc, term asc), with their document
+        /// frequencies.
+        pub(crate) fn select_top(&self, n: usize) -> Vocabulary {
+            let lexicon = &self.lexicon;
+            let mut items: Vec<(u128, u32, u32)> = self
+                .stats
+                .iter()
+                .map(|(&id, &(total, df))| {
+                    let key = u128::from(u64::MAX - total) << 64 | u128::from(lexicon.rank_key(id));
+                    (key, id, df)
+                })
+                .collect();
+            items.sort_unstable_by_key(|&(key, _, _)| key);
+            items.truncate(n);
+            let ids: Vec<u32> = items.iter().map(|&(_, id, _)| id).collect();
+            let doc_freq = items.iter().map(|&(_, _, df)| df).collect();
+            Vocabulary::freeze(Arc::clone(lexicon), ids, doc_freq, self.docs)
+        }
+    }
 
     /// Counts each document's terms in one shared lexicon.
     fn corpus(docs: &[&[&str]]) -> (Arc<Lexicon>, Vec<Vec<(u32, u32)>>) {
@@ -272,22 +445,17 @@ mod tests {
         (Arc::new(lex), pairs)
     }
 
-    fn builder(docs: &[&[&str]]) -> VocabBuilder {
+    fn select(docs: &[&[&str]], n: usize) -> Vocabulary {
         let (lex, pairs) = corpus(docs);
-        let mut b = VocabBuilder::new(Arc::clone(&lex));
-        for p in &pairs {
-            b.add_doc(TermCounts::new(&lex, p));
-        }
-        b
+        let counts: Vec<TermCounts<'_>> = pairs.iter().map(|p| TermCounts::new(&lex, p)).collect();
+        Vocabulary::select_top(&lex, &counts, n)
     }
 
     #[test]
     fn top_n_by_corpus_frequency() {
-        let b = builder(&[&["x", "x", "y"], &["x", "y", "z"]]);
-        assert_eq!(b.num_docs(), 2);
-        assert_eq!(b.num_terms(), 3);
-        let v = b.select_top(2);
+        let v = select(&[&["x", "x", "y"], &["x", "y", "z"]], 2);
         assert_eq!(v.len(), 2);
+        assert_eq!(v.num_docs(), 2);
         // x appears 3 times, y twice, z once.
         assert_eq!(v.index_of("x"), Some(0));
         assert_eq!(v.index_of("y"), Some(1));
@@ -296,7 +464,7 @@ mod tests {
 
     #[test]
     fn ties_broken_lexicographically() {
-        let v = builder(&[&["beta", "alpha"]]).select_top(2);
+        let v = select(&[&["beta", "alpha"]], 2);
         assert_eq!(v.index_of("alpha"), Some(0));
         assert_eq!(v.index_of("beta"), Some(1));
     }
@@ -305,16 +473,15 @@ mod tests {
     /// cut at a tie must still keep and order terms by string.
     #[test]
     fn tie_across_the_cut_follows_strings_not_ids() {
-        let v = builder(&[&["d", "c", "b", "a", "e", "e"]]).select_top(3);
+        let v = select(&[&["d", "c", "b", "a", "e", "e"]], 3);
         let kept: Vec<&str> = v.iter().map(|(t, _)| t).collect();
         assert_eq!(kept, ["e", "a", "b"]);
-        assert_eq!(builder(&[&["q"]]).select_top(0).len(), 0);
+        assert_eq!(select(&[&["q"]], 0).len(), 0);
     }
 
     #[test]
     fn doc_freq_tracked() {
-        let b = builder(&[&["common", "rare"], &["common"], &["common"]]);
-        let v = b.select_top(10);
+        let v = select(&[&["common", "rare"], &["common"], &["common"]], 10);
         let common = v.index_of("common").unwrap();
         let rare = v.index_of("rare").unwrap();
         assert_eq!(v.doc_freq(common), 3);
@@ -322,29 +489,59 @@ mod tests {
         assert_eq!(v.num_docs(), 3);
     }
 
+    /// Fitting two families through one table: the second family's
+    /// slots never read the first one's entries, ids shared or not, and
+    /// each selected term's postings list its documents in order, with
+    /// unselected terms left out.
     #[test]
-    fn merge_equals_serial_accumulation() {
-        let (lex, docs) = corpus(&[&["x", "x", "y"], &["x", "y", "z"], &["z", "z", "w"]]);
-        let mut serial = VocabBuilder::new(Arc::clone(&lex));
-        for d in &docs {
-            serial.add_doc(TermCounts::new(&lex, d));
+    fn one_table_fits_two_families() {
+        let (lex, pairs) = corpus(&[&["a", "b", "b"], &["b", "c"], &["c", "a", "a", "d"]]);
+        let counts: Vec<TermCounts<'_>> = pairs.iter().map(|p| TermCounts::new(&lex, p)).collect();
+        let mut table = SlotTable::new(&lex);
+        let (first_vocab, first) = fit_family(&lex, &mut table, &counts[..2], 2);
+        let (second_vocab, second) = fit_family(&lex, &mut table, &counts[1..], 4);
+        let terms = |v: &Vocabulary| v.iter().map(|(t, _)| t.to_string()).collect::<Vec<_>>();
+        assert_eq!(terms(&first_vocab), ["b", "a"]);
+        let first_postings: Vec<&[(u32, u32)]> = first.by_term().collect();
+        assert_eq!(first_postings, [&[(0, 2), (1, 1)][..], &[(0, 1)][..]]);
+        assert_eq!(first.per_doc(), [2, 1]);
+        assert_eq!(terms(&second_vocab), ["a", "c", "b", "d"]);
+        let second_postings: Vec<&[(u32, u32)]> = second.by_term().collect();
+        assert_eq!(
+            second_postings,
+            [
+                &[(1, 2)][..],
+                &[(0, 1), (1, 1)][..],
+                &[(0, 1)][..],
+                &[(1, 1)][..]
+            ]
+        );
+        assert_eq!(second.per_doc(), [2, 3]);
+        assert_eq!(second_vocab.doc_freq(1), 2);
+    }
+
+    /// The grouped selection keeps the terms, order, document
+    /// frequencies and document count of the map-based builder it
+    /// replaced, at every cut.
+    #[test]
+    fn grouped_selection_matches_the_builder() {
+        let (lex, pairs) = corpus(&[
+            &["q", "p", "q", "r", "s", "s"],
+            &["p", "t", "u", "q"],
+            &[],
+            &["u", "u", "v", "p", "w"],
+        ]);
+        let counts: Vec<TermCounts<'_>> = pairs.iter().map(|p| TermCounts::new(&lex, p)).collect();
+        let mut oracle = VocabBuilder::new(Arc::clone(&lex));
+        for &c in &counts {
+            oracle.add_doc(c);
         }
-        // Partition the docs 2 + 1 and merge the partial builders.
-        let mut left = VocabBuilder::new(Arc::clone(&lex));
-        left.add_doc(TermCounts::new(&lex, &docs[0]));
-        left.add_doc(TermCounts::new(&lex, &docs[1]));
-        let mut right = VocabBuilder::new(Arc::clone(&lex));
-        right.add_doc(TermCounts::new(&lex, &docs[2]));
-        let mut merged = VocabBuilder::new(Arc::clone(&lex));
-        merged.merge(left);
-        merged.merge(right);
-        assert_eq!(merged.num_docs(), serial.num_docs());
-        assert_eq!(merged.num_terms(), serial.num_terms());
-        let a = serial.select_top(10);
-        let b = merged.select_top(10);
-        for (term, i) in a.iter() {
-            assert_eq!(b.index_of(term), Some(i), "term {term:?}");
-            assert_eq!(b.doc_freq(i), a.doc_freq(i));
+        for n in 0..10 {
+            let got = Vocabulary::select_top(&lex, &counts, n);
+            let want = oracle.select_top(n);
+            assert_eq!(got.ids, want.ids, "n = {n}");
+            assert_eq!(got.doc_freq, want.doc_freq, "n = {n}");
+            assert_eq!(got.num_docs(), want.num_docs());
         }
     }
 
@@ -354,26 +551,24 @@ mod tests {
         let (lex, _) = corpus(&[&["x"]]);
         let mut other = Lexicon::new();
         let foreign = other.count_in(["y"].map(String::from));
-        VocabBuilder::new(lex).add_doc(TermCounts::new(&other, &foreign));
+        Vocabulary::select_top(&lex, &[TermCounts::new(&other, &foreign)], 1);
     }
 
     #[test]
     fn select_more_than_available() {
-        let v = builder(&[&["only"]]).select_top(100);
-        assert_eq!(v.len(), 1);
+        assert_eq!(select(&[&["only"]], 100).len(), 1);
     }
 
     #[test]
-    fn empty_builder_gives_empty_vocab() {
-        let v = VocabBuilder::default().select_top(5);
+    fn no_documents_give_an_empty_vocab() {
+        let v = Vocabulary::select_top(&Arc::new(Lexicon::new()), &[], 5);
         assert!(v.is_empty());
         assert_eq!(v.num_docs(), 0);
     }
 
     #[test]
     fn from_parts_round_trips_a_selected_vocab() {
-        let b = builder(&[&["x", "x", "y"], &["x", "z"]]);
-        let v = b.select_top(3);
+        let v = select(&[&["x", "x", "y"], &["x", "z"]], 3);
         // Serialize: terms in dense-index order, plus doc freqs.
         let terms: Vec<&str> = v.iter().map(|(t, _)| t).collect();
         let freqs: Vec<u32> = (0..v.len() as u32).map(|i| v.doc_freq(i)).collect();
@@ -399,7 +594,7 @@ mod tests {
 
     #[test]
     fn iter_covers_all_terms_in_index_order() {
-        let v = builder(&[&["p", "q", "r"]]).select_top(3);
+        let v = select(&[&["p", "q", "r"]], 3);
         let seen: Vec<(&str, u32)> = v.iter().collect();
         assert_eq!(seen, [("p", 0), ("q", 1), ("r", 2)]);
         assert_eq!(v.term(2), "r");

@@ -1,11 +1,13 @@
 //! Property-based tests for the feature substrate.
 
+use darklight_activity::profile::DailyActivityProfile;
 use darklight_features::lexicon::{Lexicon, TermCounts};
 use darklight_features::ngram::char_ngrams_free_space;
 use darklight_features::pipeline::{CountedDoc, FeatureConfig, FeatureExtractor, PreparedDoc};
 use darklight_features::sparse::SparseVector;
-use darklight_features::vocab::VocabBuilder;
+use darklight_features::vocab::Vocabulary;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 fn sparse_strategy() -> impl Strategy<Value = SparseVector> {
@@ -32,6 +34,38 @@ const TERM_PREFIXES: [&str; 6] = [
 fn term_strategy() -> impl Strategy<Value = String> {
     (0..TERM_PREFIXES.len(), "[ab\u{e9}日z]{0,3}")
         .prop_map(|(p, tail)| format!("{}{tail}", TERM_PREFIXES[p]))
+}
+
+/// The first `n` terms of `docs` by (total desc, term asc), compared
+/// as strings, with their document frequencies.
+fn string_selection<'a>(
+    docs: impl Iterator<Item = TermCounts<'a>>,
+    n: usize,
+) -> Vec<(String, u32)> {
+    let mut stats: BTreeMap<String, (u64, u32)> = BTreeMap::new();
+    for counts in docs {
+        for (term, c) in counts.terms() {
+            let entry = stats.entry(term.to_string()).or_insert((0, 0));
+            entry.0 += u64::from(c);
+            entry.1 += 1;
+        }
+    }
+    let mut ranked: Vec<(String, (u64, u32))> = stats.into_iter().collect();
+    ranked.sort_by(|a, b| b.1 .0.cmp(&a.1 .0).then_with(|| a.0.cmp(&b.0)));
+    ranked
+        .into_iter()
+        .take(n)
+        .map(|(t, (_, df))| (t, df))
+        .collect()
+}
+
+/// A vocabulary's terms in dense-index order with their document
+/// frequencies.
+fn vocab_entries(vocab: &Vocabulary) -> Vec<(String, u32)> {
+    vocab
+        .iter()
+        .map(|(t, i)| (t.to_string(), vocab.doc_freq(i)))
+        .collect()
 }
 
 proptest! {
@@ -113,12 +147,9 @@ proptest! {
         let mut lex = Lexicon::new();
         let counted: Vec<Vec<(u32, u32)>> = docs.iter().map(|d| lex.count_in(d.iter().cloned())).collect();
         let lex = Arc::new(lex);
-        let mut b = VocabBuilder::new(Arc::clone(&lex));
-        for d in &counted {
-            b.add_doc(TermCounts::new(&lex, d));
-        }
-        let v1 = b.select_top(n);
-        let v2 = b.select_top(n);
+        let terms: Vec<TermCounts<'_>> = counted.iter().map(|d| TermCounts::new(&lex, d)).collect();
+        let v1 = Vocabulary::select_top(&lex, &terms, n);
+        let v2 = Vocabulary::select_top(&lex, &terms, n);
         prop_assert!(v1.len() <= n);
         let t1: Vec<(String, u32)> = v1.iter().map(|(t, i)| (t.to_string(), i)).collect();
         let t2: Vec<(String, u32)> = v2.iter().map(|(t, i)| (t.to_string(), i)).collect();
@@ -129,11 +160,8 @@ proptest! {
         let mut rev = Lexicon::new();
         let rev_counted: Vec<Vec<(u32, u32)>> = docs.iter().rev().map(|d| rev.count_in(d.iter().cloned())).collect();
         let rev = Arc::new(rev);
-        let mut rb = VocabBuilder::new(Arc::clone(&rev));
-        for d in &rev_counted {
-            rb.add_doc(TermCounts::new(&rev, d));
-        }
-        let t3: Vec<(String, u32)> = rb.select_top(n).iter().map(|(t, i)| (t.to_string(), i)).collect();
+        let rev_terms: Vec<TermCounts<'_>> = rev_counted.iter().map(|d| TermCounts::new(&rev, d)).collect();
+        let t3: Vec<(String, u32)> = Vocabulary::select_top(&rev, &rev_terms, n).iter().map(|(t, i)| (t.to_string(), i)).collect();
         prop_assert_eq!(&t1, &t3);
     }
 
@@ -165,13 +193,13 @@ proptest! {
         ];
         for depth in 0..levels.len() {
             let lexicon = levels[depth].0;
-            let mut builder = VocabBuilder::new(Arc::clone(lexicon));
+            let mut terms: Vec<TermCounts<'_>> = Vec::new();
             // term → (total, df), counted by string.
-            let mut stats: std::collections::BTreeMap<String, (u64, u32)> = Default::default();
+            let mut stats: BTreeMap<String, (u64, u32)> = Default::default();
             for &(doc_lexicon, docs) in &levels[..=depth] {
                 for pairs in docs {
                     let counts = TermCounts::new(doc_lexicon, pairs);
-                    builder.add_doc(counts);
+                    terms.push(counts);
                     for (term, c) in counts.terms() {
                         let entry = stats.entry(term.to_string()).or_insert((0, 0));
                         entry.0 += u64::from(c);
@@ -182,7 +210,7 @@ proptest! {
             let mut want: Vec<(String, (u64, u32))> = stats.into_iter().collect();
             want.sort_by(|a, b| b.1 .0.cmp(&a.1 .0).then_with(|| a.0.cmp(&b.0)));
             for n in [cut, want.len(), want.len().saturating_sub(1), want.len() + 1] {
-                let vocab = builder.select_top(n);
+                let vocab = Vocabulary::select_top(lexicon, &terms, n);
                 let got: Vec<(String, u32)> =
                     vocab.iter().map(|(t, i)| (t.to_string(), vocab.doc_freq(i))).collect();
                 let kept: Vec<(String, u32)> =
@@ -190,6 +218,54 @@ proptest! {
                 prop_assert_eq!(&got, &kept);
             }
         }
+    }
+
+    /// The term-major path over random small corpora, counted in one
+    /// lexicon or each document in its own: every fitted document gets
+    /// the bits `vectorize_counted` gives it in the space `fit_vectorize`
+    /// fits, and each vocabulary keeps exactly the first N terms of
+    /// (total desc, term asc), with their document frequencies.
+    #[test]
+    fn fit_vectorize_matches_per_document_vectorization(
+        texts in proptest::collection::vec("[ab c.!1]{0,24}", 1..6),
+        top_word in 0usize..12,
+        top_char in 0usize..30,
+        apart in any::<bool>(),
+        hour in proptest::option::of(0usize..24),
+    ) {
+        let prepared: Vec<PreparedDoc> = texts.iter().map(|t| PreparedDoc::prepare(t, None)).collect();
+        let docs: Vec<CountedDoc> = if apart {
+            prepared.iter().map(|d| CountedDoc::from_prepared(d, 2, 3)).collect()
+        } else {
+            CountedDoc::count_all(&prepared.iter().collect::<Vec<_>>(), 2, 3, 1)
+        };
+        let cfg = FeatureConfig {
+            max_word_n: 2,
+            max_char_n: 3,
+            top_word_ngrams: top_word,
+            top_char_ngrams: top_char,
+            ..FeatureConfig::final_stage()
+        };
+        let profile = hour.map(|h| {
+            let mut counts = [0u32; 24];
+            counts[h] = 3;
+            counts[(h + 5) % 24] += 1;
+            DailyActivityProfile::from_counts(counts).unwrap()
+        });
+        let (space, vectors) = FeatureExtractor::new(cfg)
+            .fit_vectorize(docs.iter().map(|d| (d, profile.as_ref())));
+        prop_assert_eq!(vectors.len(), docs.len());
+        for (doc, v) in docs.iter().zip(&vectors) {
+            let want = space.vectorize_counted(doc, profile.as_ref());
+            let bits = |v: &SparseVector| v.iter().map(|(i, x)| (i, x.to_bits())).collect::<Vec<_>>();
+            prop_assert_eq!(bits(v), bits(&want));
+        }
+        let words = string_selection(docs.iter().map(CountedDoc::word_counts), top_word);
+        prop_assert_eq!(vocab_entries(space.word_vocab()), words);
+        let chars = string_selection(docs.iter().map(CountedDoc::char_counts), top_char);
+        prop_assert_eq!(vocab_entries(space.char_vocab()), chars);
+        prop_assert_eq!(space.word_vocab().num_docs(), docs.len() as u32);
+        prop_assert_eq!(space.char_vocab().num_docs(), docs.len() as u32);
     }
 
     /// Pipeline vectors are unit-norm and vectorization is deterministic.

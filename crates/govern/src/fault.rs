@@ -4,14 +4,16 @@
 //! one entry parser:
 //!
 //! * `DARKLIGHT_FAULT_PANICS` — comma-separated `site:index` entries.
-//!   Instrumented worker closures call [`maybe_panic`] with their site
-//!   and item index; a listed pair panics with a recognizable message,
-//!   which the `try_par_map` wrappers of `darklight-par` isolate. Sites:
-//!   `polish.user`, `twostage.vectorize_known`,
-//!   `twostage.vectorize_query` (skip-tolerant) and `twostage.rescore`
-//!   (fail-fast). An injection depends only on (site, index) — never on
-//!   thread count or scheduling — so a degraded run is as deterministic
-//!   as a healthy one.
+//!   Instrumented closures call [`maybe_panic`] with their site and item
+//!   index; a listed pair panics with a recognizable message, which the
+//!   `try_par_map` wrappers of `darklight-par` isolate. Sites:
+//!   `polish.user`, `twostage.vectorize_query` (skip-tolerant),
+//!   `twostage.vectorize_known` (fires per fitted document after the
+//!   stage-1 fit, in a pass of its own, and drops the document it hits
+//!   to the zero vector; a panic inside the fit itself is fatal) and
+//!   `twostage.rescore` (fail-fast). An injection depends only on
+//!   (site, index) — never on thread count or scheduling — so a
+//!   degraded run is as deterministic as a healthy one.
 //! * `DARKLIGHT_FAULT_IO` — comma-separated entries of three modes for
 //!   the I/O call sites, which consult [`maybe_fail_io`] before touching
 //!   the filesystem:

@@ -136,6 +136,8 @@ fn snapshot_schema_is_pinned() {
             "twostage.links_accepted",
             "twostage.links_rejected",
             "twostage.rescored_unknowns",
+            "twostage.stage2_fits",
+            "twostage.stage2_vectors",
         ]
     );
     assert_eq!(
@@ -146,7 +148,6 @@ fn snapshot_schema_is_pinned() {
             "dataset.threads",
             "features.char_vocab",
             "features.dim",
-            "features.fit_threads",
             "features.word_vocab",
             "polish.threads",
             "twostage.threads",
