@@ -4,9 +4,13 @@
 //! A [`FitArtifact`] is everything stage 1 of the two-stage pipeline
 //! computes from the *known* corpus: the prepared known [`Dataset`]
 //! (stage 2 refits per unknown on its counted documents), the fitted
-//! space-reduction [`FeatureSpace`], and the known aliases' stage-1
-//! vectors. `darklight fit` persists it through `darklight-store`'s
-//! epoch machinery; `darklight link --artifact` loads it and serves
+//! space-reduction [`FeatureSpace`], and the candidate index over the
+//! known aliases' stage-1 vectors, which the fit writes feature by
+//! feature. The vectors cross the disk one alias at a time, as the
+//! index's rows ([`FitArtifact::known_vecs`]); decoding transposes them
+//! back into the index. `darklight fit` persists the artifact through
+//! `darklight-store`'s epoch machinery; `darklight link --artifact`
+//! loads it and serves
 //! queries without refitting — with output byte-identical to the
 //! fit-every-time path (pinned by `tests/artifact_parity.rs`).
 //!
@@ -69,28 +73,31 @@ pub struct FitArtifact {
     pub known: Dataset,
     /// The fitted space-reduction feature space.
     pub space: FeatureSpace,
-    /// Stage-1 vectors of `known.records`, in record order.
-    pub known_vecs: Vec<SparseVector>,
-    /// The stage-1 candidate index over `known_vecs`, built once when the
-    /// artifact is fitted or decoded and shared by every query it serves.
+    /// The stage-1 candidate index over the known records' vectors,
+    /// fitted or decoded once and shared by every query it serves.
     pub index: CandidateIndex,
 }
 
 impl FitArtifact {
     /// Runs the stage-1 fit the artifact captures: the reduction space
-    /// fitted on the known records, their vectors in it, and the index
-    /// over those. It is the very routine `TwoStage::reduce` fits with
-    /// before ranking — injected vectorization faults included — so
-    /// serving from the artifact reproduces its candidates byte-for-byte.
+    /// fitted on the known records and the index over their vectors in
+    /// it. It is the very routine `TwoStage::reduce` fits with before
+    /// ranking — injected vectorization faults included — so serving
+    /// from the artifact reproduces its candidates byte-for-byte.
     pub fn fit(config: &TwoStageConfig, known: Dataset) -> FitArtifact {
-        let (space, known_vecs, index) =
+        let (space, index) =
             TwoStage::new(config.clone()).fit_known(&config.reduction, &DocView::all(&known));
         FitArtifact {
             known,
             space,
-            known_vecs,
             index,
         }
+    }
+
+    /// Stage-1 vectors of `known.records`, in record order: the index's
+    /// rows.
+    pub fn known_vecs(&self) -> Vec<SparseVector> {
+        self.index.rows()
     }
 
     /// The FNV-1a fingerprint of the fitted state: schema version,
@@ -99,6 +106,12 @@ impl FitArtifact {
     /// pattern. Excluded, like the checkpoint fingerprint: metrics and
     /// thread counts, which never change output bytes.
     pub fn fingerprint(&self) -> u64 {
+        self.fingerprint_over(&self.known_vecs())
+    }
+
+    /// [`fingerprint`](Self::fingerprint) with `known_vecs` for the
+    /// index's rows.
+    fn fingerprint_over(&self, known_vecs: &[SparseVector]) -> u64 {
         let mut h = Fnv1a::new();
         h.write_u64(ARTIFACT_VERSION as u64);
         hash_feature_config(&mut h, self.space.config());
@@ -110,8 +123,8 @@ impl FitArtifact {
                 h.write_str(&f.value);
             }
         }
-        h.write_u64(self.known_vecs.len() as u64);
-        for v in &self.known_vecs {
+        h.write_u64(known_vecs.len() as u64);
+        for v in known_vecs {
             h.write_u64(v.nnz() as u64);
             for (i, x) in v.iter() {
                 h.write_u64(i as u64);
@@ -123,7 +136,8 @@ impl FitArtifact {
 
     /// Encodes the artifact into a sectioned container.
     pub fn to_container(&self) -> Container {
-        let mut c = Container::new(self.fingerprint());
+        let known_vecs = self.known_vecs();
+        let mut c = Container::new(self.fingerprint_over(&known_vecs));
         let mut meta = Writer::new();
         meta.put_u32(ARTIFACT_VERSION);
         c.push_section(SEC_META, meta.into_bytes());
@@ -131,7 +145,7 @@ impl FitArtifact {
         c.push_section(SEC_WORD_VOCAB, encode_vocab(self.space.word_vocab()));
         c.push_section(SEC_CHAR_VOCAB, encode_vocab(self.space.char_vocab()));
         c.push_section(SEC_KNOWN, encode_dataset(&self.known));
-        c.push_section(SEC_VECTORS, encode_vectors(&self.known_vecs));
+        c.push_section(SEC_VECTORS, encode_vectors(&known_vecs));
         c
     }
 
@@ -186,11 +200,10 @@ impl FitArtifact {
         let artifact = FitArtifact {
             known,
             space,
-            known_vecs,
             index,
         };
         let found = c.fingerprint;
-        let expected = artifact.fingerprint();
+        let expected = artifact.fingerprint_over(&known_vecs);
         if expected != found {
             return Err(StoreError::FingerprintMismatch { expected, found });
         }
@@ -464,8 +477,9 @@ mod tests {
 
     fn assert_same_artifact(a: &FitArtifact, b: &FitArtifact) {
         assert_eq!(a.known, b.known);
-        assert_eq!(a.known_vecs.len(), b.known_vecs.len());
-        for (va, vb) in a.known_vecs.iter().zip(&b.known_vecs) {
+        let (a_vecs, b_vecs) = (a.known_vecs(), b.known_vecs());
+        assert_eq!(a_vecs.len(), b_vecs.len());
+        for (va, vb) in a_vecs.iter().zip(&b_vecs) {
             assert_eq!(va.nnz(), vb.nnz());
             for ((ia, xa), (ib, xb)) in va.iter().zip(vb.iter()) {
                 assert_eq!(ia, ib);
@@ -483,7 +497,7 @@ mod tests {
             let back = FitArtifact::from_container(&c, threads).unwrap();
             assert_same_artifact(&artifact, &back);
             // The rebuilt space vectorizes identically.
-            for (r, v) in artifact.known.records.iter().zip(&artifact.known_vecs) {
+            for (r, v) in artifact.known.records.iter().zip(&artifact.known_vecs()) {
                 let w = back.space.vectorize_counted(&r.counted, r.profile.as_ref());
                 assert_eq!(v.nnz(), w.nnz());
                 for ((ia, xa), (ib, xb)) in v.iter().zip(w.iter()) {
@@ -548,10 +562,12 @@ mod tests {
         // the fingerprint can catch it.
         let artifact = fitted();
         let mut tampered = artifact.clone();
-        let (i, x) = tampered.known_vecs[0].iter().next().unwrap();
-        let mut pairs: Vec<(u32, f32)> = tampered.known_vecs[0].iter().collect();
+        let mut vecs = tampered.known_vecs();
+        let (i, x) = vecs[0].iter().next().unwrap();
+        let mut pairs: Vec<(u32, f32)> = vecs[0].iter().collect();
         pairs[0] = (i, f32::from_bits(x.to_bits() ^ 1));
-        tampered.known_vecs[0] = SparseVector::from_pairs(pairs);
+        vecs[0] = SparseVector::from_pairs(pairs);
+        tampered.index = CandidateIndex::build(&vecs, tampered.space.dim());
         let mut c = tampered.to_container();
         c.fingerprint = artifact.fingerprint(); // forge the original print
         assert!(matches!(

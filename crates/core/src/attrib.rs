@@ -7,12 +7,16 @@
 //! products; the [`CandidateIndex`] stores the known aliases' vectors as an
 //! inverted index (feature → postings) and scores a query in
 //! O(Σ_{f ∈ query} |postings(f)|) — orders of magnitude faster than
-//! pairwise dot products at forum scale. Query batches are scored in
-//! parallel with scoped threads.
+//! pairwise dot products at forum scale. A fit weights its documents
+//! feature by feature, so the stage-1 fit's output already is that index
+//! and [`CandidateIndex::new`] takes it over without a copy; vectors
+//! held one by one (a decoded artifact's, the baselines') are transposed
+//! by [`CandidateIndex::build`]. Query batches are scored in parallel
+//! with scoped threads.
 
 use std::cmp::Ordering;
 
-use darklight_features::sparse::SparseVector;
+use darklight_features::sparse::{FeatureMajor, SparseVector};
 use darklight_obs::{Counter, Histogram, PipelineMetrics, Timer};
 
 /// A ranked candidate: index into the known set plus cosine score.
@@ -51,88 +55,69 @@ impl IndexInstruments {
 }
 
 /// An inverted index over the known aliases' unit-norm feature vectors,
-/// stored compressed by feature: the postings of feature `f` are
-/// `postings[offsets[f]..offsets[f + 1]]`, in user order.
+/// stored compressed by feature: a [`FeatureMajor`], whose feature `f`
+/// lists the aliases holding it, in user order.
 #[derive(Debug, Clone)]
 pub struct CandidateIndex {
-    offsets: Vec<usize>,
-    postings: Vec<(u32, f32)>,
-    n_users: usize,
+    weights: FeatureMajor,
     instruments: IndexInstruments,
 }
 
 impl CandidateIndex {
-    /// Builds the index. `dim` must exceed every feature index used by the
-    /// vectors.
+    /// Builds the index over per-alias vectors. `dim` must exceed every
+    /// feature index used by the vectors.
     ///
     /// # Panics
     ///
     /// Panics if a vector holds an index `>= dim`.
     pub fn build(vectors: &[SparseVector], dim: usize) -> CandidateIndex {
-        CandidateIndex::build_with_metrics(vectors, dim, &PipelineMetrics::disabled())
+        CandidateIndex::new(
+            FeatureMajor::from_rows(vectors, dim),
+            &PipelineMetrics::disabled(),
+        )
     }
 
-    /// Like [`build`](CandidateIndex::build), recording build time and
-    /// index shape into `metrics` and wiring per-query instruments.
-    pub fn build_with_metrics(
-        vectors: &[SparseVector],
-        dim: usize,
-        metrics: &PipelineMetrics,
-    ) -> CandidateIndex {
+    /// Indexes the aliases' vectors already stored feature by feature —
+    /// a fit's own output — without copying them, recording the hand-over
+    /// time and the index shape into `metrics` and wiring per-query
+    /// instruments.
+    pub fn new(weights: FeatureMajor, metrics: &PipelineMetrics) -> CandidateIndex {
         let _build = metrics.timer("attrib.index_build").start();
-        // Count each feature's postings, turn the counts into offsets,
-        // then fill every list in user order.
-        let mut offsets = vec![0usize; dim + 1];
-        for v in vectors {
-            for (f, _) in v.iter() {
-                offsets[f as usize + 1] += 1;
-            }
-        }
-        for f in 0..dim {
-            offsets[f + 1] += offsets[f];
-        }
-        let nnz = offsets[dim];
-        let mut next = offsets.clone();
-        let mut postings = vec![(0u32, 0.0f32); nnz];
-        for (user, v) in vectors.iter().enumerate() {
-            for (f, w) in v.iter() {
-                let slot = &mut next[f as usize];
-                postings[*slot] = (user as u32, w);
-                *slot += 1;
-            }
-        }
         metrics
             .gauge("attrib.index_users")
-            .set(vectors.len() as i64);
-        metrics.gauge("attrib.index_dim").set(dim as i64);
-        metrics.counter("attrib.index_postings").add(nnz as u64);
+            .set(weights.docs() as i64);
+        metrics.gauge("attrib.index_dim").set(weights.dim() as i64);
+        metrics
+            .counter("attrib.index_postings")
+            .add(weights.nnz() as u64);
         CandidateIndex {
-            offsets,
-            postings,
-            n_users: vectors.len(),
+            weights,
             instruments: IndexInstruments::resolve(metrics),
         }
     }
 
-    /// The postings of feature `f` (empty past the indexed dimensions).
-    fn postings(&self, f: u32) -> &[(u32, f32)] {
-        match (
-            self.offsets.get(f as usize),
-            self.offsets.get(f as usize + 1),
-        ) {
-            (Some(&from), Some(&to)) => &self.postings[from..to],
-            _ => &[],
-        }
+    /// The indexed aliases' vectors, in user order.
+    pub fn rows(&self) -> Vec<SparseVector> {
+        self.weights.rows()
+    }
+
+    /// The index's entries, feature by feature, each weight as its bits.
+    #[cfg(test)]
+    pub(crate) fn posting_bits(&self) -> Vec<Vec<(u32, u32)>> {
+        self.weights
+            .columns()
+            .map(|c| c.iter().map(|&(u, w)| (u, w.to_bits())).collect())
+            .collect()
     }
 
     /// Number of indexed aliases.
     pub fn len(&self) -> usize {
-        self.n_users
+        self.weights.docs()
     }
 
     /// `true` when no aliases are indexed.
     pub fn is_empty(&self) -> bool {
-        self.n_users == 0
+        self.weights.docs() == 0
     }
 
     /// Dot products (== cosine for unit-norm inputs) of `query` against
@@ -142,10 +127,10 @@ impl CandidateIndex {
     }
 
     fn scores_with(&self, query: &SparseVector, instruments: &IndexInstruments) -> Vec<f64> {
-        let mut scores = vec![0.0f64; self.n_users];
+        let mut scores = vec![0.0f64; self.len()];
         let mut touched = 0u64;
         for (f, w) in query.iter() {
-            let list = self.postings(f);
+            let list = self.weights.column(f);
             touched += list.len() as u64;
             for &(user, wu) in list {
                 scores[user as usize] += w as f64 * wu as f64;
@@ -353,7 +338,7 @@ mod tests {
     fn metrics_record_build_and_query_activity() {
         let metrics = PipelineMetrics::enabled();
         let vectors = vec![vec_of(&[(0, 1.0), (1, 1.0)]), vec_of(&[(1, 1.0)])];
-        let index = CandidateIndex::build_with_metrics(&vectors, 4, &metrics);
+        let index = CandidateIndex::new(FeatureMajor::from_rows(&vectors, 4), &metrics);
         index.top_k(&vec_of(&[(1, 1.0)]), 1);
         assert_eq!(metrics.gauge("attrib.index_users").get(), 2);
         assert_eq!(metrics.gauge("attrib.index_dim").get(), 4);

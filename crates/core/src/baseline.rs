@@ -121,12 +121,13 @@ impl KoppelBaseline {
     /// normalized vote share (best first).
     pub fn run(&self, known: &Dataset, unknown: &Dataset) -> Vec<Vec<Ranked>> {
         let unknowns = Unknowns::new(unknown, known.lexicon());
-        let (space, known_vecs) = FeatureExtractor::new(self.features.clone()).fit_vectorize(
+        let (space, weights) = FeatureExtractor::new(self.features.clone()).fit_feature_major(
             known
                 .records
                 .iter()
                 .map(|r| (&r.counted, r.profile.as_ref())),
         );
+        let known_vecs = weights.rows();
         let unknown_vecs: Vec<SparseVector> = unknowns
             .views()
             .iter()

@@ -205,13 +205,13 @@ impl TwoStage {
     /// vectorization panics degrades to the zero vector (it returns an
     /// all-zero candidate scoring) instead of killing the run. On the
     /// known side the `twostage.vectorize_known` fault hook fires per
-    /// fitted document after the fit and drops the document it hits: it
-    /// keeps the zero vector and can never rank. Each caught panic
-    /// increments `par.worker_panics` and `twostage.vectorize_panics`.
-    /// Panics depend only on the record, so degraded output stays
-    /// thread-count deterministic. A panic inside the fit, its writes of
-    /// the known vectors included, is fatal, as a panic in a fit always
-    /// was.
+    /// fitted document after the fit and drops the document it hits: its
+    /// entries leave the index, so it holds the zero vector and can
+    /// never rank. Each caught panic increments `par.worker_panics` and
+    /// `twostage.vectorize_panics`. Panics depend only on the record, so
+    /// degraded output stays thread-count deterministic. A panic inside
+    /// the fit, its weighting of the known documents included, is fatal,
+    /// as a panic in a fit always was.
     ///
     /// The unknowns' counts are rebased onto `known`'s lexicon first
     /// unless they already are in its lineage.
@@ -233,7 +233,7 @@ impl TwoStage {
     ) -> Vec<Vec<Ranked>> {
         let _stage1 = self.config.metrics.timer("twostage.stage1").start();
         let threads = self.config.observed_threads();
-        let (space, _, index) = self.fit_known(&self.config.reduction, known);
+        let (space, index) = self.fit_known(&self.config.reduction, known);
         self.rank(&space, &index, unknown, self.config.k, threads)
     }
 
@@ -271,28 +271,33 @@ impl TwoStage {
 
     /// The stage-1 fit every path shares — a fresh reduction, the
     /// single-stage ablation and a [`FitArtifact`]: fit `fc` on the known
-    /// documents, which writes their vectors from the fit's own term
-    /// grouping ([`FeatureExtractor::fit_vectorize`]), and index the
-    /// vectors. A document the `twostage.vectorize_known` fault hook hits
-    /// after the fit still took part in it but keeps the zero vector (see
-    /// [`reduce`](Self::reduce)). Returns the space, the known vectors in
-    /// input order and their index.
+    /// documents, which weights them feature by feature
+    /// ([`FeatureExtractor::fit_feature_major`]), and index that output
+    /// as it stands. A document the `twostage.vectorize_known` fault hook
+    /// hits after the fit still took part in it, but its entries are
+    /// removed and it can never rank (see [`reduce`](Self::reduce)).
+    /// Returns the space and the index.
     pub(crate) fn fit_known(
         &self,
         fc: &FeatureConfig,
         known: &[DocView<'_>],
-    ) -> (FeatureSpace, Vec<SparseVector>, CandidateIndex) {
+    ) -> (FeatureSpace, CandidateIndex) {
         let metrics = &self.config.metrics;
-        let (space, vectors) = FeatureExtractor::new(fc.clone())
+        let (space, mut weights) = FeatureExtractor::new(fc.clone())
             .with_metrics(metrics.clone())
-            .fit_vectorize(known.iter().map(|d| (d.counted, d.profile)));
+            .fit_feature_major(known.iter().map(|d| (d.counted, d.profile)));
         let hooks = darklight_par::try_par_map(known, 1, metrics, |i, _| {
             darklight_govern::fault::maybe_panic("twostage.vectorize_known", i)
         });
-        let known_vecs =
-            self.zero_panicked(hooks.into_iter().zip(vectors).map(|(h, v)| h.map(|()| v)));
-        let index = CandidateIndex::build_with_metrics(&known_vecs, space.dim(), metrics);
-        (space, known_vecs, index)
+        let dropped: Vec<bool> = hooks.iter().map(Result::is_err).collect();
+        let panics = dropped.iter().filter(|&&d| d).count();
+        if panics > 0 {
+            metrics
+                .counter("twostage.vectorize_panics")
+                .add(panics as u64);
+            weights.retain_docs(|d| !dropped[d as usize]);
+        }
+        (space, CandidateIndex::new(weights, metrics))
     }
 
     /// Ranks `unknown` — already in `space`'s lexicon lineage — in a
@@ -440,23 +445,24 @@ impl TwoStage {
         // §IV-I — "this procedure changes the feature vector of the unknown
         // alias too". Grams unique to the unknown then carry high IDF,
         // sharpening the discrimination among near candidates. The refit
-        // writes all k + 1 vectors from its own term grouping.
-        let (_, mut vectors) = FeatureExtractor::new(self.config.final_stage.clone())
-            .fit_vectorize(
+        // weights all k + 1 documents feature by feature, and each
+        // candidate's score is read off the features the unknown, the
+        // last document, holds: bit for bit its dot product with the
+        // unknown's vector.
+        let (_, weights) = FeatureExtractor::new(self.config.final_stage.clone())
+            .fit_feature_major(
                 candidates
                     .iter()
                     .map(|c| known[c.index])
                     .chain(std::iter::once(unknown))
                     .map(|d| (d.counted, d.profile)),
             );
-        // audit:allow(no-naked-unwrap) -- fit_vectorize returns one vector per document and the unknown is the last of k + 1
-        let uvec = vectors.pop().expect("the unknown's vector");
         let mut stage2: Vec<Ranked> = candidates
             .iter()
-            .zip(&vectors)
-            .map(|(c, v)| Ranked {
+            .zip(weights.dots_with_last())
+            .map(|(c, score)| Ranked {
                 index: c.index,
-                score: uvec.dot(v),
+                score,
             })
             .collect();
         stage2.sort_by(|a, b| cmp_desc((a.score, a.index), (b.score, b.index)));
@@ -486,7 +492,7 @@ impl TwoStage {
     ) -> Vec<RankedMatch> {
         let threads = self.config.observed_threads();
         let unknown = Unknowns::new(unknown, known.lexicon());
-        let (space, _, index) = self.fit_known(&self.config.final_stage, &DocView::all(known));
+        let (space, index) = self.fit_known(&self.config.final_stage, &DocView::all(known));
         self.rank(&space, &index, &unknown.views(), depth, threads)
             .into_iter()
             .enumerate()
@@ -540,6 +546,7 @@ mod tests {
     use super::*;
     use crate::dataset::DatasetBuilder;
     use darklight_corpus::model::{Corpus, Post, User};
+    use darklight_features::pipeline::PreparedDoc;
 
     /// A small world: three authors with distinctive vocabulary, split into
     /// known/unknown halves.
@@ -661,6 +668,79 @@ mod tests {
         stage1[1].clear();
         engine.rescore(&known, &unknown, stage1);
         assert_eq!(counts(), [3 + 2, 9 + 2 * 3, 1, 6]);
+    }
+
+    /// A fit's index holds what `CandidateIndex::build` makes of each
+    /// known document's `vectorize_counted` vector, posting for posting
+    /// and bit for bit, in both stages' configurations.
+    #[test]
+    fn fit_known_indexes_the_per_document_vectors() {
+        let (known, _) = world();
+        let engine = TwoStage::new(config());
+        for fc in [&engine.config().reduction, &engine.config().final_stage] {
+            let (space, index) = engine.fit_known(fc, &DocView::all(&known));
+            let vectors: Vec<SparseVector> = known
+                .records
+                .iter()
+                .map(|r| space.vectorize_counted(&r.counted, r.profile.as_ref()))
+                .collect();
+            let built = CandidateIndex::build(&vectors, space.dim());
+            assert_eq!(index.len(), known.len());
+            assert_eq!(index.posting_bits(), built.posting_bits());
+        }
+    }
+
+    /// Stage-2 scores read off the refit's features are bit for bit the
+    /// unknown's per-document vector dotted with each candidate's: 0.0
+    /// for a candidate sharing no feature with it, and an exact tie
+    /// between two identical candidates ordered by known index.
+    #[test]
+    fn rescore_scores_equal_per_document_dots_bit_for_bit() {
+        let texts = [
+            "gardening tulips, compost and seedling watering!",
+            "overclocking the motherboard: thermals at 90",
+            "zzzz",
+            "gardening tulips, compost and seedling watering!",
+            "tulips and compost for the seedling beds, 2 of them",
+        ];
+        let prepared: Vec<PreparedDoc> = texts
+            .iter()
+            .map(|t| PreparedDoc::prepare(t, None))
+            .collect();
+        let counted = CountedDoc::count_all(&prepared.iter().collect::<Vec<_>>(), 3, 5, 1);
+        let (known, unknown) = counted.split_at(4);
+        let views: Vec<DocView<'_>> = known
+            .iter()
+            .map(|counted| DocView {
+                counted,
+                profile: None,
+            })
+            .collect();
+        let unknown = DocView {
+            counted: &unknown[0],
+            profile: None,
+        };
+        let candidates: Vec<Ranked> = [3, 2, 0, 1]
+            .map(|index| Ranked { index, score: 0.0 })
+            .to_vec();
+        let engine = TwoStage::new(config());
+        let m = engine.rescore_one(&views, unknown, 0, &candidates);
+
+        let docs = candidates
+            .iter()
+            .map(|c| &known[c.index])
+            .chain([unknown.counted]);
+        let space = FeatureExtractor::new(engine.config().final_stage.clone()).fit_counted(docs);
+        let uvec = space.vectorize_counted(unknown.counted, None);
+        for r in &m.stage2 {
+            let want = uvec.dot(&space.vectorize_counted(&known[r.index], None));
+            assert_eq!(r.score.to_bits(), want.to_bits(), "candidate {}", r.index);
+        }
+        let order: Vec<usize> = m.stage2.iter().map(|r| r.index).collect();
+        assert_eq!(order, [0, 3, 1, 2]);
+        assert_eq!(m.stage2[0].score.to_bits(), m.stage2[1].score.to_bits());
+        assert_eq!(m.stage2[3].score, 0.0);
+        assert!(m.stage2[2].score > 0.0);
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //! attribution stage ranks by.
 //!
 //! Modules:
-//! * [`sparse`] — sorted sparse vectors with dot/cosine/concat;
+//! * [`sparse`] — sorted sparse vectors with dot/cosine, one by one or
+//!   feature by feature;
 //! * [`ngram`] — word and character n-gram extraction (including the
 //!   space-free char 4-grams of the standard baseline);
 //! * [`lexicon`] — n-gram terms interned once per dataset to `u32` ids,
@@ -41,6 +42,6 @@ pub mod vocab;
 
 pub use lexicon::{Lexicon, TermCounts};
 pub use pipeline::{CountedDoc, FeatureConfig, FeatureExtractor, FeatureSpace, PreparedDoc};
-pub use sparse::SparseVector;
+pub use sparse::{FeatureMajor, SparseVector};
 pub use tfidf::TfIdf;
 pub use vocab::Vocabulary;

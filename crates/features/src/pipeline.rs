@@ -16,15 +16,19 @@
 //! the IDF weights — is expressed by simply fitting a second
 //! `FeatureExtractor` on the candidate subset.
 //!
-//! Refits are the pipeline's inner loop, and every refit vectorizes the
-//! documents it was fitted on. [`FeatureExtractor::fit_vectorize`] does
-//! both in one term-major pass: the fit groups every document's
-//! `(id, count)` pairs by term (see [`vocab`](crate::vocab)), and each
-//! fitted document's vector is written by walking the selected terms in
-//! dense-index order, so no fitted document is looked up term by term or
-//! sorted. [`FeatureSpace::vectorize_counted`] serves the documents
-//! outside a fit (stage-1 queries, served queries). Both write through
-//! one block writer, so a document gets the same bits either way.
+//! Refits are the pipeline's inner loop, and every refit weights the
+//! documents it was fitted on. [`FeatureExtractor::fit_feature_major`]
+//! does both feature by feature: the fit lays each selected term's
+//! `(document, count)` pairs out under its feature (see
+//! [`vocab`](crate::vocab)), appends the char-class and activity
+//! features, and weights the entries in place. Its output, a
+//! [`FeatureMajor`], is the fitted documents' vectors transposed — the
+//! form the candidate index scores in — so no fitted document is looked
+//! up term by term, sorted, or given a vector of its own.
+//! [`FeatureSpace::vectorize_counted`] serves the documents outside a
+//! fit (stage-1 queries, served queries). Both run the same
+//! floating-point operations in the same order per document, so a
+//! document gets the same bits either way.
 //!
 //! Block weighting: each block is L2-normalized and scaled by a
 //! configurable weight before concatenation, then the whole vector is
@@ -36,9 +40,9 @@
 use crate::charfreq::{char_class_frequencies, NUM_SLOTS};
 use crate::lexicon::{GramTrie, Lexicon, TermCounts};
 use crate::ngram::{count_char_ngrams, count_word_ngrams};
-use crate::sparse::SparseVector;
+use crate::sparse::{FeatureMajor, SparseVector};
 use crate::tfidf::TfIdf;
-use crate::vocab::{fit_family, Postings, SlotTable, Vocabulary};
+use crate::vocab::{select_family, Selection, SlotTable, Vocabulary};
 use darklight_activity::profile::{DailyActivityProfile, HOURS};
 use darklight_govern::EstimateBytes;
 use darklight_obs::{Counter, PipelineMetrics, Timer};
@@ -495,7 +499,7 @@ impl FeatureExtractor {
         let docs: Vec<&PreparedDoc> = docs.into_iter().collect();
         let counted =
             CountedDoc::count_all(&docs, self.config.max_word_n, self.config.max_char_n, 1);
-        self.fit_docs(&counted.iter().collect::<Vec<_>>()).0
+        self.fit_docs(&counted.iter().collect::<Vec<_>>(), false).0
     }
 
     /// Fits from precomputed [`CountedDoc`]s. The counts must have been
@@ -514,24 +518,25 @@ impl FeatureExtractor {
         let _fit = self.metrics.timer("features.fit").start();
         let docs: Vec<&CountedDoc> = docs.into_iter().collect();
         match rebased_if_unrelated(&docs) {
-            Some(rebased) => self.fit_docs(&rebased.iter().collect::<Vec<_>>()).0,
-            None => self.fit_docs(&docs).0,
+            Some(rebased) => self.fit_docs(&rebased.iter().collect::<Vec<_>>(), false).0,
+            None => self.fit_docs(&docs, false).0,
         }
     }
 
-    /// Fits like [`fit_counted`](Self::fit_counted) and vectorizes every
-    /// fitted document, each with its activity profile, into the fitted
-    /// space: the vectors come out in input order, bit for bit what
-    /// [`FeatureSpace::vectorize_counted`] gives each document.
+    /// Fits like [`fit_counted`](Self::fit_counted) and weights every
+    /// fitted document, each with its activity profile, in the fitted
+    /// space, feature by feature: document `d` of the result is input
+    /// document `d`, its row bit for bit what
+    /// [`FeatureSpace::vectorize_counted`] gives it, and the result has
+    /// one feature per dimension of the space.
     ///
-    /// The fit groups every document's pairs by term, so the vectors are
-    /// written term-major: walking the selected terms in dense-index
-    /// order, each term's postings append its entry to the vectors of
-    /// the documents holding it, so each vector's blocks fill in index
-    /// order with no per-document lookup or sort. Grouping and selection
-    /// run under the `features.fit` timer, the writes under
-    /// `features.vectorize`.
-    pub fn fit_vectorize<'a, I>(&self, docs: I) -> (FeatureSpace, Vec<SparseVector>)
+    /// The fit lays the selected terms' pairs out by feature (see
+    /// [`vocab`](crate::vocab)), appends the char-class and activity
+    /// features, and weights the entries in place, so no fitted document
+    /// gets a vector of its own and no vectors are transposed. Grouping,
+    /// selection and the layout run under the `features.fit` timer, the
+    /// weighting under `features.vectorize`.
+    pub fn fit_feature_major<'a, I>(&self, docs: I) -> (FeatureSpace, FeatureMajor)
     where
         I: IntoIterator<Item = (&'a CountedDoc, Option<&'a DailyActivityProfile>)>,
     {
@@ -543,35 +548,56 @@ impl FeatureExtractor {
             Some(rebased) => rebased.iter().collect(),
             None => counted,
         };
-        let (space, postings) = self.fit_docs(&counted);
+        let (space, mut weights) = self.fit_docs(&counted, true);
         drop(fit);
-        let vectors = space.write_fitted(&postings, &counted, &activity);
-        (space, vectors)
+        space.weigh(&mut weights, &counted, &activity);
+        (space, weights)
     }
 
     /// The core of every fit path, over documents sharing one lexicon
     /// lineage: each family's pairs are grouped by term through one
-    /// dense id table the two families share, its top N terms selected
-    /// from the slot totals, and the selected terms' postings laid out
-    /// for [`FeatureSpace::write_fitted`].
-    fn fit_docs(&self, docs: &[&CountedDoc]) -> (FeatureSpace, [Postings; 2]) {
+    /// dense id table the two families share, and its top N terms
+    /// selected from the slot totals. With `lay_out`, each family's
+    /// selected pairs are laid out, as soon as it is selected, as the
+    /// n-gram features of the returned [`FeatureMajor`], ready for
+    /// [`FeatureSpace::weigh`].
+    fn fit_docs(&self, docs: &[&CountedDoc], lay_out: bool) -> (FeatureSpace, FeatureMajor) {
+        let config = &self.config;
         let lexicon = CountedDoc::shared_lexicon(docs.iter().copied())
             .cloned()
             .unwrap_or_default();
         let mut table = SlotTable::new(&lexicon);
-        let (word_vocab, words) = fit_family(
-            &lexicon,
-            &mut table,
-            &docs.iter().map(|d| d.word_counts()).collect::<Vec<_>>(),
-            self.config.top_word_ngrams,
-        );
-        let (char_vocab, chars) = fit_family(
-            &lexicon,
-            &mut table,
-            &docs.iter().map(|d| d.char_counts()).collect::<Vec<_>>(),
-            self.config.top_char_ngrams,
-        );
-        (self.finish_space(word_vocab, char_vocab), [words, chars])
+        let words: Vec<TermCounts<'_>> = docs.iter().map(|d| d.word_counts()).collect();
+        let chars: Vec<TermCounts<'_>> = docs.iter().map(|d| d.char_counts()).collect();
+        let mut out = FeatureMajor::new(docs.len());
+        let (word_vocab, selection) =
+            select_family(&lexicon, &mut table, &words, config.top_word_ngrams);
+        if lay_out {
+            // Room for the selected words' pairs, every char pair and one
+            // entry per char-class slot and hour, so no entry ever moves.
+            let char_pairs: usize = chars.iter().map(TermCounts::len).sum();
+            out.entries
+                .reserve_exact(selection.pairs() + char_pairs + docs.len() * (NUM_SLOTS + HOURS));
+            lay_out_ngrams(selection, word_vocab.len(), config.word_weight, &mut out);
+        }
+        let (char_vocab, selection) =
+            select_family(&lexicon, &mut table, &chars, config.top_char_ngrams);
+        if lay_out {
+            lay_out_ngrams(selection, char_vocab.len(), config.char_weight, &mut out);
+        }
+        (self.finish_space(word_vocab, char_vocab), out)
+    }
+}
+
+/// Lays out one n-gram family's `terms` selected terms as features of
+/// `out`, or leaves them empty when a zero block `weight` drops the
+/// block (as [`SparseVector::scale_from`] drops it).
+fn lay_out_ngrams(selection: Selection<'_>, terms: usize, weight: f32, out: &mut FeatureMajor) {
+    if weight == 0.0 {
+        out.offsets
+            .extend(std::iter::repeat_n(out.entries.len(), terms));
+    } else {
+        selection.lay_out(out);
     }
 }
 
@@ -585,10 +611,8 @@ fn rebased_if_unrelated(docs: &[&CountedDoc]) -> Option<Vec<CountedDoc>> {
         .then(|| CountedDoc::rebase_all(docs, first.lexicon()))
 }
 
-/// Where one n-gram block of a space goes and how it is weighted: the
-/// block writer [`FeatureSpace::vectorize_counted`] and a fit's
-/// term-major writes share, so both run the same floating-point
-/// operations in the same order.
+/// Where one n-gram block of a space goes and how it is weighted, for
+/// [`FeatureSpace::vectorize_counted`].
 struct NgramBlock<'s> {
     offset: u32,
     tfidf: &'s TfIdf,
@@ -701,8 +725,9 @@ impl FeatureSpace {
     }
 
     /// Vectorizes a precounted document; see [`FeatureSpace::vectorize`].
-    /// Documents a space was fitted on are vectorized by the fit itself
-    /// ([`FeatureExtractor::fit_vectorize`]); this path serves the rest.
+    /// Documents a space was fitted on are weighted by the fit itself
+    /// ([`FeatureExtractor::fit_feature_major`]); this path serves the
+    /// rest.
     ///
     /// Each block is written once into the output, in index order, then
     /// L2-normalized and weighted in place; the whole vector is
@@ -742,42 +767,97 @@ impl FeatureSpace {
         ]
     }
 
-    /// Writes the vectors of the documents this space was just fitted
-    /// on, from the postings of the fit's two families: each vector gets
-    /// the capacity [`vectorize_counted`](Self::vectorize_counted) would
-    /// give it, and each block is filled by walking the selected terms in
-    /// dense-index order and appending every posting to its document's
-    /// vector.
-    fn write_fitted(
+    /// Weights the features a fit on `docs` just laid out in `out` (the
+    /// n-gram features, counts as `f32`) into the documents' final
+    /// vectors, in place: appends the char-class and activity features,
+    /// then runs, for every document, the floating-point operations
+    /// [`vectorize_counted`](Self::vectorize_counted) runs on its vector
+    /// in the same order. Each n-gram count is multiplied by its term's
+    /// IDF; each block's norm is summed in `f64` in feature order, and
+    /// the block normalized and scaled by its weight; then the whole
+    /// vector's norm is summed in feature order and applied.
+    fn weigh(
         &self,
-        families: &[Postings; 2],
+        out: &mut FeatureMajor,
         docs: &[&CountedDoc],
         activity: &[Option<&DailyActivityProfile>],
-    ) -> Vec<SparseVector> {
+    ) {
         let _vec = self.instruments.vectorize.start();
-        let [words, chars] = families;
-        let mut vectors: Vec<SparseVector> = words
-            .per_doc()
-            .iter()
-            .zip(chars.per_doc())
-            .map(|(w, c)| SparseVector::with_capacity(w + c + NUM_SLOTS + HOURS))
-            .collect();
-        for (block, postings) in self.ngram_blocks().iter().zip(families) {
-            let starts: Vec<usize> = vectors.iter().map(SparseVector::nnz).collect();
-            for (i, term) in postings.by_term().enumerate() {
-                for &(d, tf) in term {
-                    block.push(&mut vectors[d as usize], i as u32, tf);
+        let config = &self.config;
+        // A block weight that is not positive leaves the fixed-slot
+        // features empty, as `finish_vector` skips them.
+        for i in 0..NUM_SLOTS {
+            if config.char_class_weight > 0.0 {
+                for (d, doc) in docs.iter().enumerate() {
+                    push_nonzero(out, d, doc.char_class[i]);
                 }
             }
-            for (v, start) in vectors.iter_mut().zip(starts) {
-                block.end(v, start);
+            out.offsets.push(out.entries.len());
+        }
+        for h in 0..HOURS {
+            if config.activity_weight > 0.0 {
+                for (d, profile) in activity.iter().enumerate() {
+                    if let Some(profile) = profile {
+                        push_nonzero(out, d, profile.shares()[h]);
+                    }
+                }
+            }
+            out.offsets.push(out.entries.len());
+        }
+        debug_assert_eq!(out.dim(), self.dim());
+
+        // Each block's features, weight, and IDF for the n-gram blocks.
+        let blocks = [
+            (
+                0..self.char_offset(),
+                config.word_weight,
+                Some(&self.word_tfidf),
+            ),
+            (
+                self.char_offset()..self.class_offset(),
+                config.char_weight,
+                Some(&self.char_tfidf),
+            ),
+            (
+                self.class_offset()..self.activity_offset(),
+                config.char_class_weight,
+                None,
+            ),
+            (
+                self.activity_offset()..self.dim() as u32,
+                config.activity_weight,
+                None,
+            ),
+        ];
+        let mut norms = vec![0.0f64; out.docs];
+        let mut totals = vec![0.0f64; out.docs];
+        for (features, weight, tfidf) in blocks {
+            let (start, end) = (features.start as usize, features.end as usize);
+            norms.fill(0.0);
+            for f in start..end {
+                let column = &mut out.entries[out.offsets[f]..out.offsets[f + 1]];
+                let idf = tfidf.map(|t| t.idf((f - start) as u32));
+                for (d, x) in column {
+                    // A count times an IDF, both at least 1, is never
+                    // zero, so no entry is dropped as `push` drops zeros.
+                    if let Some(idf) = idf {
+                        *x *= idf;
+                    }
+                    norms[*d as usize] += *x as f64 * *x as f64;
+                }
+            }
+            let factors = unit_factors(&norms);
+            for (d, x) in &mut out.entries[out.offsets[start]..out.offsets[end]] {
+                *x = *x * factors[*d as usize] * weight;
+                totals[*d as usize] += *x as f64 * *x as f64;
             }
         }
-        vectors
-            .into_iter()
-            .zip(docs.iter().zip(activity))
-            .map(|(v, (doc, &activity))| self.finish_vector(v, doc, activity))
-            .collect()
+        let factors = unit_factors(&totals);
+        for (d, x) in &mut out.entries {
+            *x *= factors[*d as usize];
+        }
+        self.instruments.vectors.add(out.docs as u64);
+        self.instruments.nnz.add(out.entries.len() as u64);
     }
 
     /// Appends the char-class and activity blocks after a vector's
@@ -817,6 +897,32 @@ impl FeatureSpace {
         self.instruments.nnz.add(v.nnz() as u64);
         v
     }
+}
+
+/// Appends document `d`'s entry to `out`'s last feature when `value` is
+/// positive and stays nonzero as an `f32`, as
+/// [`FeatureSpace::vectorize_counted`] keeps a char-class frequency or
+/// an activity share.
+fn push_nonzero(out: &mut FeatureMajor, d: usize, value: f64) {
+    if value > 0.0 && value as f32 != 0.0 {
+        out.entries.push((d as u32, value as f32));
+    }
+}
+
+/// The factor that L2-normalizes each document's block of squared norm
+/// `sums[d]`, as [`SparseVector::normalize_from`] computes it: `1 / norm`
+/// as an `f32`, or 1 (no change) for a zero norm.
+fn unit_factors(sums: &[f64]) -> Vec<f32> {
+    sums.iter()
+        .map(|&sum| {
+            let norm = sum.sqrt();
+            let factor = if norm > 0.0 { (1.0 / norm) as f32 } else { 1.0 };
+            // A zero factor would drop the block; f32 weights never have
+            // a norm that large.
+            debug_assert!(factor != 0.0);
+            factor
+        })
+        .collect()
 }
 
 /// The terms of `counts` that `vocab` selected, as `(dense index << 32) |
@@ -1033,25 +1139,43 @@ mod tests {
         (terms, v.num_docs())
     }
 
-    /// The pins of the term-major path, for one fit of `cfg` over `docs`,
-    /// each vectorized with `activity`: `fit_vectorize` gives every
-    /// fitted document the bits `vectorize_counted` and the reference
-    /// give it in the space it fits; that space selects what
-    /// `fit_counted` does; and both vocabularies hold the terms, order,
-    /// document frequencies and document count of the map-based
-    /// builder's selection. Returns the space.
+    /// Two feature-major layouts hold the same offsets, document count
+    /// and entries, bit for bit.
+    fn assert_same_layout(a: &FeatureMajor, b: &FeatureMajor) {
+        assert_eq!(a.offsets, b.offsets);
+        assert_eq!(a.docs, b.docs);
+        let bits = |m: &FeatureMajor| {
+            m.entries
+                .iter()
+                .map(|&(d, x)| (d, x.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(a), bits(b));
+    }
+
+    /// The pins of the feature-major path, for one fit of `cfg` over
+    /// `docs`, each weighted with `activity`: `fit_feature_major` gives
+    /// every fitted document the row `vectorize_counted` and the
+    /// reference give it in the space it fits, and the rows transposed
+    /// back are its output; that space selects what `fit_counted` does;
+    /// and both vocabularies hold the terms, order, document frequencies
+    /// and document count of the map-based builder's selection. Returns
+    /// the space.
     fn assert_term_major_pins(
         cfg: &FeatureConfig,
         docs: &[&CountedDoc],
         activity: Option<&DailyActivityProfile>,
     ) -> FeatureSpace {
         let extractor = FeatureExtractor::new(cfg.clone());
-        let (space, vectors) = extractor.fit_vectorize(docs.iter().map(|&d| (d, activity)));
-        assert_eq!(vectors.len(), docs.len());
-        for (doc, v) in docs.iter().zip(&vectors) {
+        let (space, weights) = extractor.fit_feature_major(docs.iter().map(|&d| (d, activity)));
+        assert_eq!(weights.docs(), docs.len());
+        assert_eq!(weights.dim(), space.dim());
+        let rows = weights.rows();
+        for (doc, v) in docs.iter().zip(&rows) {
             assert_same_bits(v, &space.vectorize_counted(doc, activity));
             assert_same_bits(v, &reference_vectorize(&space, doc, activity));
         }
+        assert_same_layout(&FeatureMajor::from_rows(&rows, space.dim()), &weights);
         let counted = extractor.fit_counted(docs.iter().copied());
         assert_eq!(
             vocab_entries(counted.word_vocab()),
@@ -1148,7 +1272,7 @@ mod tests {
                 &foreign_space.vectorize_counted(b, None),
             );
         }
-        // The term-major path over the extension, over the unrelated
+        // The feature-major path over the extension, over the unrelated
         // lexicons it rebases itself, and over the joint counts.
         let hour = profile(4);
         for docs in [
@@ -1163,10 +1287,10 @@ mod tests {
         }
     }
 
-    /// The term-major path over documents counted in three unrelated
+    /// The feature-major path over documents counted in three unrelated
     /// lexicons, some terms shared by strings only, one document empty.
     #[test]
-    fn fit_vectorize_over_unrelated_lexicons_follows_strings() {
+    fn fit_feature_major_over_unrelated_lexicons_follows_strings() {
         let texts = [
             "the wolf ran past the old mill again",
             "",
@@ -1199,16 +1323,47 @@ mod tests {
                 5,
                 1,
             );
-            let (_, joint_vectors) =
-                FeatureExtractor::new(cfg).fit_vectorize(joint.iter().map(|d| (d, None)));
-            for (doc, v) in refs.iter().zip(&joint_vectors) {
+            let (_, joint_weights) =
+                FeatureExtractor::new(cfg).fit_feature_major(joint.iter().map(|d| (d, None)));
+            for (doc, v) in refs.iter().zip(&joint_weights.rows()) {
                 assert_same_bits(v, &space.vectorize_counted(doc, None));
             }
         }
-        let (space, vectors) =
-            FeatureExtractor::new(FeatureConfig::final_stage()).fit_vectorize(std::iter::empty());
-        assert!(vectors.is_empty());
+        let (space, weights) = FeatureExtractor::new(FeatureConfig::final_stage())
+            .fit_feature_major(std::iter::empty());
+        assert_eq!((weights.docs(), weights.nnz()), (0, 0));
         assert_eq!(space.dim(), NUM_SLOTS + HOURS);
+        assert_eq!(weights.dim(), space.dim());
+    }
+
+    /// A fit counts what the per-document path counts: one vector per
+    /// fitted document and its entries, under one `features.vectorize`
+    /// timing.
+    #[test]
+    fn fit_feature_major_counts_its_vectors() {
+        let metrics = PipelineMetrics::enabled();
+        let docs = CountedDoc::count_all(
+            &[prep("some words to fit on"), prep("and other words here")]
+                .iter()
+                .collect::<Vec<_>>(),
+            3,
+            5,
+            1,
+        );
+        let hour = profile(7);
+        let (space, weights) = FeatureExtractor::new(FeatureConfig::final_stage())
+            .with_metrics(metrics.clone())
+            .fit_feature_major(docs.iter().map(|d| (d, Some(&hour))));
+        let nnz: usize = docs
+            .iter()
+            .map(|d| space.vectorize_counted(d, Some(&hour)).nnz())
+            .sum();
+        assert_eq!(weights.nnz(), nnz);
+        // The two fit vectors, then the two checks above.
+        assert_eq!(metrics.counter("features.vectors").get(), 4);
+        assert_eq!(metrics.counter("features.vector_nnz").get(), 2 * nnz as u64);
+        assert_eq!(metrics.timer("features.vectorize").count(), 1 + 2);
+        assert_eq!(metrics.counter("features.fits").get(), 1);
     }
 
     /// `vectorize_counted` as it stood before blocks were written in
@@ -1265,8 +1420,8 @@ mod tests {
     /// for bit: in the fitted space and in a refit on a subset (so some
     /// terms fall outside the vocabulary), for an empty document, with
     /// and without activity, with each block weight set to zero and with
-    /// top-N cuts inside frequency ties. The term-major path gives every
-    /// fitted document the same bits, including a fit on the empty
+    /// top-N cuts inside frequency ties. The feature-major path gives
+    /// every fitted document the same bits, including a fit on the empty
     /// document alone.
     #[test]
     fn vectorize_counted_matches_the_reference_bit_for_bit() {

@@ -12,10 +12,12 @@
 //!    the top N frozen into a [`Vocabulary`], the id → dense-index map
 //!    that vectorizes documents outside the fit.
 //! 3. *Lay out.* One counting sort places every pair of a selected term
-//!    under its dense index, documents ascending, so the fit writes its
-//!    own documents' vectors by walking the selected terms in order and
-//!    never looks a fitted document's ids up or sorts them (see
-//!    [`FeatureExtractor::fit_vectorize`](crate::pipeline::FeatureExtractor::fit_vectorize)).
+//!    under its dense index as one feature of the fit's
+//!    [`FeatureMajor`] output, documents ascending, the count as an
+//!    `f32`. The fit then weights those entries in place (see
+//!    [`FeatureExtractor::fit_feature_major`](crate::pipeline::FeatureExtractor::fit_feature_major)),
+//!    so no fitted document is looked up term by term, sorted, or given
+//!    a vector of its own.
 //!
 //! Ids come from a [`Lexicon`]; selection reads string order through
 //! [`Lexicon::rank_key`], so no id order ever reaches a vocabulary.
@@ -23,6 +25,7 @@
 //! are not a fit's.
 
 use crate::lexicon::{IdMap, Lexicon, TermCounts};
+use crate::sparse::FeatureMajor;
 use std::sync::Arc;
 
 /// The dense id table a fit hands out slots through: one entry per id
@@ -47,25 +50,31 @@ impl SlotTable {
     }
 }
 
-/// Fits one n-gram family of a fit: groups the pairs of `docs`, whose
-/// ids `lexicon` covers, by term through `table`, freezes the top `n`
-/// terms into a [`Vocabulary`], and lays out the selected terms'
-/// postings in dense-index order.
+/// Selects one n-gram family of a fit: groups the pairs of `docs`,
+/// whose ids `lexicon` covers, by term through `table` and freezes the
+/// top `n` terms into a [`Vocabulary`]. The returned selection holds
+/// `table` until it lays the selected terms' pairs out (or is dropped),
+/// so no later grouping can reuse the slots it reads back.
 ///
 /// # Panics
 ///
 /// Panics unless `lexicon` covers the lexicon of every document, or if
 /// `table` was made for a shorter lexicon.
-pub(crate) fn fit_family(
+pub(crate) fn select_family<'a>(
     lexicon: &Arc<Lexicon>,
-    table: &mut SlotTable,
-    docs: &[TermCounts<'_>],
+    table: &'a mut SlotTable,
+    docs: &'a [TermCounts<'a>],
     n: usize,
-) -> (Vocabulary, Postings) {
+) -> (Vocabulary, Selection<'a>) {
     let groups = TermGroups::group(lexicon, table, docs);
     let (vocab, selected) = groups.select_top(lexicon, n);
-    let postings = groups.postings(table, docs, &selected);
-    (vocab, postings)
+    let selection = Selection {
+        table,
+        docs,
+        groups,
+        selected,
+    };
+    (vocab, selection)
 }
 
 /// One n-gram family of a fit, grouped by term: every distinct id of
@@ -156,62 +165,56 @@ impl TermGroups {
         let vocab = Vocabulary::freeze(Arc::clone(lexicon), ids, doc_freq, self.docs);
         (vocab, slots)
     }
+}
 
-    /// The postings of the `selected` slots (in dense-index order): one
-    /// counting sort of the pairs of `docs` by dense index, reading each
-    /// id's slot back from `table`, which no later grouping may have
-    /// reused yet. Pairs of unselected terms are skipped.
-    fn postings(&self, table: &SlotTable, docs: &[TermCounts<'_>], selected: &[u32]) -> Postings {
-        let mut dense = vec![u32::MAX; self.ids.len()];
-        let mut starts = Vec::with_capacity(selected.len() + 1);
-        starts.push(0);
-        for (i, &slot) in selected.iter().enumerate() {
+/// The selected terms of one n-gram family of a fit, ready to be laid
+/// out feature by feature.
+pub(crate) struct Selection<'a> {
+    table: &'a SlotTable,
+    docs: &'a [TermCounts<'a>],
+    groups: TermGroups,
+    /// Slot of each selected term, in dense-index order.
+    selected: Vec<u32>,
+}
+
+impl Selection<'_> {
+    /// Number of `(document, term)` pairs of the selected terms.
+    pub(crate) fn pairs(&self) -> usize {
+        self.selected
+            .iter()
+            .map(|&slot| self.groups.doc_freq[slot as usize] as usize)
+            .sum()
+    }
+
+    /// Appends one feature per selected term to `out`, in dense-index
+    /// order, each holding the `(document, count)` pair of every fitted
+    /// document with the term, documents ascending and the count as an
+    /// `f32`: one counting sort of the documents' pairs, reading each
+    /// id's slot back from the table. Pairs of unselected terms are
+    /// skipped.
+    pub(crate) fn lay_out(self, out: &mut FeatureMajor) {
+        let groups = &self.groups;
+        let mut dense = vec![u32::MAX; groups.ids.len()];
+        let mut cursors = Vec::with_capacity(self.selected.len());
+        let mut end = out.entries.len();
+        out.offsets.reserve(self.selected.len());
+        for (i, &slot) in self.selected.iter().enumerate() {
             dense[slot as usize] = i as u32;
-            starts.push(starts[i] + self.doc_freq[slot as usize] as usize);
+            cursors.push(end);
+            end += groups.doc_freq[slot as usize] as usize;
+            out.offsets.push(end);
         }
-        let mut cursors = starts[..selected.len()].to_vec();
-        let mut entries = vec![(0, 0); starts[selected.len()]];
-        let mut per_doc = vec![0; docs.len()];
-        for (d, counts) in docs.iter().enumerate() {
+        out.entries.resize(end, (0, 0.0));
+        for (d, counts) in self.docs.iter().enumerate() {
             for &(id, c) in counts.pairs() {
-                let i = dense[(table.entries[id as usize] - self.base - 1) as usize];
+                let i = dense[(self.table.entries[id as usize] - groups.base - 1) as usize];
                 // An unselected term's index is past every cursor.
                 if let Some(cursor) = cursors.get_mut(i as usize) {
-                    entries[*cursor] = (d as u32, c);
+                    out.entries[*cursor] = (d as u32, c as f32);
                     *cursor += 1;
-                    per_doc[d] += 1;
                 }
             }
         }
-        Postings {
-            starts,
-            entries,
-            per_doc,
-        }
-    }
-}
-
-/// A family's selected terms grouped by term: for the term at each
-/// dense index, the `(document, count)` pair of every fitted document
-/// holding it, documents ascending.
-pub(crate) struct Postings {
-    /// Term `i`'s pairs are `entries[starts[i]..starts[i + 1]]`.
-    starts: Vec<usize>,
-    entries: Vec<(u32, u32)>,
-    /// Number of selected terms each document holds.
-    per_doc: Vec<usize>,
-}
-
-impl Postings {
-    /// The `(document, count)` pairs of each selected term, in
-    /// dense-index order.
-    pub(crate) fn by_term(&self) -> impl Iterator<Item = &[(u32, u32)]> + '_ {
-        self.starts.windows(2).map(|w| &self.entries[w[0]..w[1]])
-    }
-
-    /// Number of selected terms each fitted document holds.
-    pub(crate) fn per_doc(&self) -> &[usize] {
-        &self.per_doc
     }
 }
 
@@ -491,33 +494,36 @@ pub(crate) mod tests {
 
     /// Fitting two families through one table: the second family's
     /// slots never read the first one's entries, ids shared or not, and
-    /// each selected term's postings list its documents in order, with
+    /// each selected term's feature lists its documents in order, with
     /// unselected terms left out.
     #[test]
     fn one_table_fits_two_families() {
         let (lex, pairs) = corpus(&[&["a", "b", "b"], &["b", "c"], &["c", "a", "a", "d"]]);
         let counts: Vec<TermCounts<'_>> = pairs.iter().map(|p| TermCounts::new(&lex, p)).collect();
         let mut table = SlotTable::new(&lex);
-        let (first_vocab, first) = fit_family(&lex, &mut table, &counts[..2], 2);
-        let (second_vocab, second) = fit_family(&lex, &mut table, &counts[1..], 4);
+        let mut out = FeatureMajor::new(2);
+        let (first_vocab, first) = select_family(&lex, &mut table, &counts[..2], 2);
+        assert_eq!(first.pairs(), 3);
+        first.lay_out(&mut out);
+        let (second_vocab, second) = select_family(&lex, &mut table, &counts[1..], 4);
+        assert_eq!(second.pairs(), 5);
+        second.lay_out(&mut out);
         let terms = |v: &Vocabulary| v.iter().map(|(t, _)| t.to_string()).collect::<Vec<_>>();
         assert_eq!(terms(&first_vocab), ["b", "a"]);
-        let first_postings: Vec<&[(u32, u32)]> = first.by_term().collect();
-        assert_eq!(first_postings, [&[(0, 2), (1, 1)][..], &[(0, 1)][..]]);
-        assert_eq!(first.per_doc(), [2, 1]);
         assert_eq!(terms(&second_vocab), ["a", "c", "b", "d"]);
-        let second_postings: Vec<&[(u32, u32)]> = second.by_term().collect();
+        assert_eq!(second_vocab.doc_freq(1), 2);
+        let features: Vec<&[(u32, f32)]> = out.columns().collect();
         assert_eq!(
-            second_postings,
+            features,
             [
-                &[(1, 2)][..],
-                &[(0, 1), (1, 1)][..],
-                &[(0, 1)][..],
-                &[(1, 1)][..]
+                &[(0, 2.0), (1, 1.0)][..],
+                &[(0, 1.0)][..],
+                &[(1, 2.0)][..],
+                &[(0, 1.0), (1, 1.0)][..],
+                &[(0, 1.0)][..],
+                &[(1, 1.0)][..]
             ]
         );
-        assert_eq!(second.per_doc(), [2, 3]);
-        assert_eq!(second_vocab.doc_freq(1), 2);
     }
 
     /// The grouped selection keeps the terms, order, document

@@ -4,7 +4,7 @@ use darklight_activity::profile::DailyActivityProfile;
 use darklight_features::lexicon::{Lexicon, TermCounts};
 use darklight_features::ngram::char_ngrams_free_space;
 use darklight_features::pipeline::{CountedDoc, FeatureConfig, FeatureExtractor, PreparedDoc};
-use darklight_features::sparse::SparseVector;
+use darklight_features::sparse::{FeatureMajor, SparseVector};
 use darklight_features::vocab::Vocabulary;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -220,13 +220,14 @@ proptest! {
         }
     }
 
-    /// The term-major path over random small corpora, counted in one
-    /// lexicon or each document in its own: every fitted document gets
-    /// the bits `vectorize_counted` gives it in the space `fit_vectorize`
-    /// fits, and each vocabulary keeps exactly the first N terms of
+    /// The feature-major path over random small corpora, counted in one
+    /// lexicon or each document in its own: every fitted document's row
+    /// holds the bits `vectorize_counted` gives it in the space
+    /// `fit_feature_major` fits, the rows transposed back are the fit's
+    /// output, and each vocabulary keeps exactly the first N terms of
     /// (total desc, term asc), with their document frequencies.
     #[test]
-    fn fit_vectorize_matches_per_document_vectorization(
+    fn fit_feature_major_matches_per_document_vectorization(
         texts in proptest::collection::vec("[ab c.!1]{0,24}", 1..6),
         top_word in 0usize..12,
         top_char in 0usize..30,
@@ -252,14 +253,22 @@ proptest! {
             counts[(h + 5) % 24] += 1;
             DailyActivityProfile::from_counts(counts).unwrap()
         });
-        let (space, vectors) = FeatureExtractor::new(cfg)
-            .fit_vectorize(docs.iter().map(|d| (d, profile.as_ref())));
-        prop_assert_eq!(vectors.len(), docs.len());
-        for (doc, v) in docs.iter().zip(&vectors) {
+        let (space, weights) = FeatureExtractor::new(cfg)
+            .fit_feature_major(docs.iter().map(|d| (d, profile.as_ref())));
+        prop_assert_eq!(weights.docs(), docs.len());
+        prop_assert_eq!(weights.dim(), space.dim());
+        let bits = |v: &SparseVector| v.iter().map(|(i, x)| (i, x.to_bits())).collect::<Vec<_>>();
+        let rows = weights.rows();
+        for (doc, v) in docs.iter().zip(&rows) {
             let want = space.vectorize_counted(doc, profile.as_ref());
-            let bits = |v: &SparseVector| v.iter().map(|(i, x)| (i, x.to_bits())).collect::<Vec<_>>();
             prop_assert_eq!(bits(v), bits(&want));
         }
+        let columns = |m: &FeatureMajor| {
+            m.columns()
+                .map(|c| c.iter().map(|&(d, x)| (d, x.to_bits())).collect::<Vec<_>>())
+                .collect::<Vec<_>>()
+        };
+        prop_assert_eq!(columns(&FeatureMajor::from_rows(&rows, space.dim())), columns(&weights));
         let words = string_selection(docs.iter().map(CountedDoc::word_counts), top_word);
         prop_assert_eq!(vocab_entries(space.word_vocab()), words);
         let chars = string_selection(docs.iter().map(CountedDoc::char_counts), top_char);

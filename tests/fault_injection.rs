@@ -231,7 +231,7 @@ fn artifact_serving_matches_fresh_run_under_faults() {
         // served candidates differ from the fresh ones.
         let fitted = FitArtifact::fit(e.config(), known.clone());
         let served = FitArtifact::from_container(&fitted.to_container(), threads).unwrap();
-        assert_eq!(served.known_vecs[1].nnz(), 0, "injection did not fire");
+        assert_eq!(served.known_vecs()[1].nnz(), 0, "injection did not fire");
         let stage1 = e.reduce_prefit(&served.space, &served.index, &unknown);
         assert_eq!(
             e.rescore(&served.known, &unknown, stage1),
@@ -239,4 +239,42 @@ fn artifact_serving_matches_fresh_run_under_faults() {
             "served artifact diverged from a fresh run at {threads} thread(s)"
         );
     }
+}
+
+#[test]
+fn hit_known_document_is_counted_but_never_indexed() {
+    init_faults();
+    let (known, _) = world();
+    let metrics = PipelineMetrics::enabled();
+    let fitted = FitArtifact::fit(engine(1, metrics.clone()).config(), known.clone());
+    let counts = [
+        "features.vectors",
+        "features.vector_nnz",
+        "attrib.index_postings",
+        "twostage.vectorize_panics",
+    ]
+    .map(|name| metrics.counter(name).get());
+    // twostage.vectorize_known:1 leaves known record 1 an empty row...
+    let rows = fitted.known_vecs();
+    assert_eq!(rows.len(), known.len());
+    assert!(rows[1].is_empty(), "injection did not fire");
+    assert!(rows
+        .iter()
+        .enumerate()
+        .all(|(i, v)| i == 1 || !v.is_empty()));
+    // ...after it took part in the fit: its vector still counts, with
+    // the entries the per-document path gives it, while the index holds
+    // none of them.
+    let nnz: Vec<u64> = known
+        .records
+        .iter()
+        .map(|r| {
+            let v = fitted
+                .space
+                .vectorize_counted(&r.counted, r.profile.as_ref());
+            v.nnz() as u64
+        })
+        .collect();
+    let all: u64 = nnz.iter().sum();
+    assert_eq!(counts, [known.len() as u64, all, all - nnz[1], 1]);
 }
